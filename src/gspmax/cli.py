@@ -10,7 +10,6 @@ import sys
 
 from .arith import is_prime, poly_deg
 from .construct import (
-    DEFAULT_RHO_BUDGET,
     DEFAULT_SCAN_BOUND,
     Certificate,
     ExceptionalGenusError,
@@ -40,6 +39,8 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 SCAN_BOUND_ENV = "GSPMAX_SCAN_BOUND"
+# Largest accepted scan bound; sieving to it takes under a second.
+MAX_SCAN_BOUND = 10**7
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -88,9 +89,17 @@ def _write_json(path: str, data: dict) -> None:
         raise _CliError(EXIT_USAGE, f"cannot write {path}: {err}") from err
 
 
+def _read_object(path: str, kind: str) -> dict:
+    """A JSON file whose top level must be an object."""
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise _CliError(EXIT_USAGE, f"malformed {kind} file {path}: not a JSON object")
+    return data
+
+
 def read_poly_file(path: str) -> list[int]:
     """Load a polynomial file: ascending decimal coefficients, monic."""
-    data = _read_json(path)
+    data = _read_object(path, "polynomial")
     try:
         degree = _parse_int(data["degree"])
         coeffs = [_parse_int(c) for c in data["coeffs"]]
@@ -302,10 +311,10 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
 
 
 def read_certificate(path: str) -> tuple[Certificate, VerificationReport]:
-    data = _read_json(path)
+    data = _read_object(path, "certificate")
     try:
         return certificate_from_json(data)
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise _CliError(EXIT_USAGE, f"malformed certificate file {path}: {err}") from err
 
 
@@ -314,7 +323,7 @@ def write_certificate(path: str, cert: Certificate, report: VerificationReport) 
 
 
 def _resolve_scan_bound(value: int | None) -> int:
-    """Flag beats the environment variable, which beats the default."""
+    """Flag beats the environment variable, which beats the default; both are range-checked."""
     if value is None:
         env = os.environ.get(SCAN_BOUND_ENV)
         if env is None:
@@ -325,8 +334,10 @@ def _resolve_scan_bound(value: int | None) -> int:
             raise _CliError(
                 EXIT_USAGE, f"{SCAN_BOUND_ENV} must be an integer, got {env!r}"
             ) from None
-    if value < 2:
-        raise _CliError(EXIT_USAGE, "scan bound must be at least 2")
+    if not 2 <= value <= MAX_SCAN_BOUND:
+        raise _CliError(
+            EXIT_USAGE, f"scan bound must be between 2 and {MAX_SCAN_BOUND}, got {value}"
+        )
     return value
 
 
@@ -390,11 +401,8 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     seed = FIXTURE_SEED if args.fixture else args.seed
     scan_bound = _resolve_scan_bound(args.scan_bound)
-    rho_budget = DEFAULT_RHO_BUDGET if args.rho_budget is None else args.rho_budget
     try:
-        cert = build_certificate(
-            args.genus, seed=seed, scan_bound=scan_bound, rho_budget=rho_budget
-        )
+        cert = build_certificate(args.genus, seed=seed, scan_bound=scan_bound)
     except ExceptionalGenusError as err:
         print(f"gspmax: {err}", file=sys.stderr)
         try:
@@ -406,9 +414,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         return EXIT_EXCEPTIONAL
     except ValueError as err:
         raise _CliError(EXIT_USAGE, str(err)) from err
-    report = check_hypotheses(
-        list(cert.f), cert.plan, scan_bound=scan_bound, rho_budget=rho_budget
-    )
+    report = check_hypotheses(list(cert.f), cert.plan, scan_bound=scan_bound)
     write_certificate(args.out, cert, report)
     if args.poly_out is not None:
         write_poly_file(args.poly_out, list(cert.f))
@@ -418,6 +424,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    scan_bound = _resolve_scan_bound(args.scan_bound)
     cert, _ = read_certificate(args.cert)
     f = read_poly_file(args.poly)
     f0 = list(cert.f0)
@@ -427,7 +434,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not congruent:
         print("verification failed: polynomial leaves the certified congruence class")
         return EXIT_FAIL
-    scan_bound = _resolve_scan_bound(args.scan_bound)
     try:
         report = check_hypotheses(f, cert.plan, scan_bound=scan_bound)
     except ValueError as err:
@@ -564,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_con.add_argument("--seed", type=int, default=0, help="witness search seed")
     p_con.add_argument("--scan-bound", type=int, default=None)
-    p_con.add_argument("--rho-budget", type=int, default=None)
     p_con.add_argument("--out", required=True, help="certificate JSON path")
     p_con.add_argument(
         "--poly-out", default=None, help="also write the final polynomial here"

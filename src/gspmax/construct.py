@@ -19,7 +19,6 @@ from .arith import (
     fp_is_irreducible,
     is_prime,
     is_primitive_root,
-    pollard_factor,
     poly_deg,
     poly_derivative,
     poly_reduce,
@@ -41,8 +40,6 @@ from .localtypes import (
 PLAN_SCAN_BOUND = 10**6
 
 DEFAULT_SCAN_BOUND = 10**5
-
-DEFAULT_RHO_BUDGET = 10**4
 
 
 class ExceptionalGenusError(ValueError):
@@ -263,12 +260,13 @@ def assemble(items: list[tuple[LocalSpec, list[int]]], g: int) -> tuple[list[int
 class TripleRootScreen:
     """Primes at which a polynomial could have a root of multiplicity >= 3.
 
-    Any such prime divides the resultant of the first two derivatives, so the
-    found prime divisors are the only candidates below the scan bound, and
-    the residual cofactor bounds what remains unexplored above it.
+    Every such prime divides candidate_gcd, so once the screen is complete
+    the found prime divisors are the only candidates. A residual_cofactor
+    above 1 is the composite part of candidate_gcd left unfactored above the
+    scan bound.
     """
 
-    resultant_abs: int
+    candidate_gcd: int
     found_primes: tuple[int, ...]
     residual_cofactor: int
     scan_bound: int
@@ -278,31 +276,41 @@ class TripleRootScreen:
         return self.residual_cofactor == 1
 
 
-def screen_triple_roots(
-    f: list[int],
-    scan_bound: int = DEFAULT_SCAN_BOUND,
-    rho_budget: int | float = DEFAULT_RHO_BUDGET,
-    seed: int = 0,
-) -> TripleRootScreen:
-    """Factor the resultant of f'' and f' to locate candidate bad primes."""
+def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> TripleRootScreen:
+    """Locate every prime at which the monic f could have a root of multiplicity >= 3.
+
+    Such a root of f mod p is a common root of f, f' and f'' mod p. The
+    Sylvester matrix of two integer polynomials, taken with their formal
+    degrees, reduces mod p to that of their reductions, whose determinant
+    vanishes when the reductions share a root. So p divides Res(f', f'') and
+    Res(f, f''), and hence G = gcd(|Res(f', f'')|, |Res(f, f'')|). When
+    Res(f, f'') = 0, G is |Res(f', f'')|, which p still divides.
+
+    G is trial-divided by the primes up to scan_bound until the cofactor
+    reaches 1. A cofactor left above 1 is a found prime when it is prime,
+    and otherwise the residual cofactor of an incomplete screen.
+    """
     d1 = poly_derivative(f)
     d2 = poly_derivative(d1)
-    res = abs(resultant(d1, d2))
+    res = resultant(d1, d2)
     if res == 0:
         raise ValueError("the first two derivatives share a root over the rationals")
-    found: set[int] = set()
-    cofactor = res
+    common = math.gcd(res, resultant(f, d2))
+    found = []
+    cofactor = common
     for p in primes_up_to(scan_bound):
+        if cofactor == 1:
+            break
         if cofactor % p == 0:
-            found.add(p)
+            found.append(p)
             while cofactor % p == 0:
                 cofactor //= p
-    if cofactor > 1:
-        extra, cofactor = pollard_factor(cofactor, rho_budget, seed)
-        found.update(extra)
+    if cofactor > 1 and is_prime(cofactor):
+        found.append(cofactor)
+        cofactor = 1
     return TripleRootScreen(
-        resultant_abs=res,
-        found_primes=tuple(sorted(found)),
+        candidate_gcd=common,
+        found_primes=tuple(found),
         residual_cofactor=cofactor,
         scan_bound=scan_bound,
     )
@@ -316,8 +324,9 @@ class RepairRecord:
     lists (p, u, w) adjustments by N*(u*x + w) applied at small primes,
     linear_nudges counts how many times n_tilde was added to the linear
     coefficient, and z is the final constant shift in units of n_tilde.
-    status is "clean" when the candidate-prime screen was exhaustive and
-    "conditional" when an unfactored cofactor remains.
+    found_primes, residual_cofactor and status come from the triple-root
+    screen of the final f: status is "clean" when that screen was complete
+    and "conditional" when a composite cofactor remains.
     """
 
     f: tuple[int, ...]
@@ -374,8 +383,6 @@ def fix_multiplicities(
     g: int,
     exceptions: tuple[int, ...] = (),
     scan_bound: int = DEFAULT_SCAN_BOUND,
-    rho_budget: int | float = DEFAULT_RHO_BUDGET,
-    seed: int = 0,
 ) -> RepairRecord:
     """Adjust f0 within its congruence class mod n to remove stray triple roots.
 
@@ -408,44 +415,43 @@ def fix_multiplicities(
     n_tilde = n * math.prod(small)
     skip = set(exceptions) | {2}
     nudges = 0
-    while resultant(poly_derivative(f), poly_derivative(poly_derivative(f))) == 0:
-        f[1] += n_tilde
-        nudges += 1
-        if nudges > 2 * g + 1:
-            raise RuntimeError("internal error: no coprime linear nudge found")
-
-    screen = screen_triple_roots(f, scan_bound, rho_budget, seed)
+    while True:
+        try:
+            screen = screen_triple_roots(f, scan_bound)
+            break
+        except ValueError:
+            f[1] += n_tilde
+            nudges += 1
+            if nudges > 2 * g + 1:
+                raise RuntimeError("internal error: no coprime linear nudge found") from None
     for p in screen.found_primes:
         if n % p == 0 and p not in skip and _has_triple_root(f, p):
             raise ValueError(f"unrepairable multiplicity-3 root at {p} dividing n")
 
-    candidates = [p for p in screen.found_primes if n_tilde % p != 0]
+    # Shifting the constant term by z * n_tilde leaves f' and f'' alone, so
+    # every prime that turns bad divides the fixed nonzero Res(f', f''). Each
+    # round pins one more of those primes clean, so the loop ends.
     constrained: dict[int, int] = {}
     z = 0
-    for _ in range(len(candidates) + 1):
-        shifted = list(f)
-        shifted[0] += z * n_tilde
-        new_bad = [
-            p for p in candidates if p not in constrained and _has_triple_root(shifted, p)
-        ]
-        if not new_bad:
-            f = shifted
+    shifted = f
+    while True:
+        bad = [p for p in screen.found_primes if n_tilde % p and _has_triple_root(shifted, p)]
+        if not bad:
             break
-        for p in new_bad:
+        for p in bad:
+            if p in constrained:
+                raise RuntimeError(f"internal error: repair left a triple root mod {p}")
             if p <= 2 * g:
                 raise RuntimeError(f"internal error: {p} <= 2g should divide n_tilde")
             constrained[p] = _coprime_shift(f, p, g)
         z = crt_integers(
             [((c * pow(n_tilde, -1, p)) % p, p) for p, c in constrained.items()]
         )
-    else:
-        raise RuntimeError("internal error: repair loop did not converge")
-
-    for p in candidates:
-        if _has_triple_root(f, p):
-            raise RuntimeError(f"internal error: repair left a triple root mod {p}")
+        shifted = list(f)
+        shifted[0] += z * n_tilde
+        screen = screen_triple_roots(shifted, scan_bound)
     return RepairRecord(
-        f=tuple(f),
+        f=tuple(shifted),
         n_tilde=n_tilde,
         pre_stage=tuple(pre_fixes),
         linear_nudges=nudges,
@@ -517,7 +523,6 @@ def build_certificate(
     g: int,
     seed: int = 0,
     scan_bound: int = DEFAULT_SCAN_BOUND,
-    rho_budget: int | float = DEFAULT_RHO_BUDGET,
     budget: int = WITNESS_BUDGET,
 ) -> Certificate:
     """Construct a certified polynomial for one genus, end to end.
@@ -548,8 +553,6 @@ def build_certificate(
         g,
         exceptions=plan.exceptions,
         scan_bound=scan_bound,
-        rho_budget=rho_budget,
-        seed=seed,
     )
     if any((a - b) % modulus != 0 for a, b in zip(repair.f, f0)):
         raise RuntimeError("internal error: repair left the congruence class")

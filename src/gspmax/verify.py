@@ -21,12 +21,7 @@ from .arith import (
     poly_trim,
     resultant,
 )
-from .construct import (
-    DEFAULT_RHO_BUDGET,
-    DEFAULT_SCAN_BOUND,
-    PrimePlan,
-    screen_triple_roots,
-)
+from .construct import DEFAULT_SCAN_BOUND, PrimePlan, screen_triple_roots
 from .inertia import is_totally_toric
 from .localtypes import good_reduction_at_2, multiplicity_profile, recognize_type
 
@@ -63,7 +58,7 @@ class HypothesisFlag:
 class ScanRecord:
     """Result of the triple-root scan behind the semistability flag.
 
-    found_primes are the located prime divisors of the derivative resultant;
+    found_primes are the located prime divisors of gcd(Res(f', f''), Res(f, f''));
     bad_primes pairs each one carrying a root of multiplicity >= 3 with that
     maximal multiplicity. A residual_cofactor above 1 means the scan was not
     exhaustive; 0 means the screen itself was unavailable.
@@ -168,18 +163,14 @@ def _block_flag(
 
 
 def check_hypotheses(
-    f: list[int],
-    plan: PrimePlan,
-    scan_bound: int = DEFAULT_SCAN_BOUND,
-    rho_budget: int | float = DEFAULT_RHO_BUDGET,
-    seed: int = 0,
+    f: list[int], plan: PrimePlan, scan_bound: int = DEFAULT_SCAN_BOUND
 ) -> VerificationReport:
     """Evaluate every hypothesis flag for f against its prime plan.
 
     A flag reads "pass" only when this checker can certify the hypothesis;
     "fail" means not certified. The semistability flag is "conditional" when
-    all located candidate primes are clean but an unfactored cofactor of the
-    derivative resultant remains.
+    all located candidate primes are clean but a composite cofactor of the
+    triple-root screen's gcd remains above the scan bound.
     """
     g = plan.g
     deg = 2 * g + 2
@@ -257,7 +248,7 @@ def check_hypotheses(
     exceptions = set(plan.exceptions)
     good_2 = good_reduction_at_2(f, g)
     try:
-        screen = screen_triple_roots(f, scan_bound, rho_budget, seed)
+        screen = screen_triple_roots(f, scan_bound)
         bad = []
         for p in screen.found_primes:
             mult = max(multiplicity_profile(f, p))
@@ -283,8 +274,8 @@ def check_hypotheses(
         )
         if not screen.complete:
             detail += (
-                f"; unfactored cofactor of "
-                f"{screen.residual_cofactor.bit_length()} bits remains"
+                f"; composite cofactor of {screen.residual_cofactor.bit_length()} "
+                "bits remains above the scan bound"
             )
     except ValueError:
         scan = ScanRecord(scan_bound, (), (), 0)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from golden_data import F0, N, PLAN_G6
+from gspmax import construct
 from gspmax.cli import (
+    MAX_SCAN_BOUND,
     SCAN_BOUND_ENV,
     certificate_from_json,
     certificate_to_json,
@@ -36,7 +38,7 @@ def fixture_files(tmp_path_factory):
     code = main(
         ["construct", "--genus", "6", "--fixture", "--out", str(cert), "--poly-out", str(poly)]
     )
-    assert code == 3
+    assert code == 0
     return cert, poly
 
 
@@ -93,9 +95,11 @@ class TestConstructCommand:
         assert len(data["specs"]) == 11
         assert data["repair"]["z"] == "0"
         assert data["repair"]["f"] == data["f0"]
-        assert data["repair"]["status"] == "conditional"
+        assert data["repair"]["status"] == "clean"
+        assert data["repair"]["found_primes"] == ["2", "17", "19", "37", "41"]
+        assert data["repair"]["residual_cofactor"] == "1"
         assert data["report"]["verdict"]["kind"] == "maximal-all-ell"
-        assert data["report"]["verdict"]["conditional"] is True
+        assert data["report"]["verdict"]["conditional"] is False
 
     def test_polynomial_file_matches_goldens(self, fixture_files):
         _, poly_path = fixture_files
@@ -106,7 +110,7 @@ class TestConstructCommand:
     def test_rerun_is_byte_identical(self, fixture_files, tmp_path):
         cert_path, _ = fixture_files
         again = tmp_path / "again.json"
-        assert main(["construct", "--genus", "6", "--fixture", "--out", str(again)]) == 3
+        assert main(["construct", "--genus", "6", "--fixture", "--out", str(again)]) == 0
         assert again.read_bytes() == cert_path.read_bytes()
 
     def test_exceptional_genus_exits_four(self, tmp_path, capsys):
@@ -124,9 +128,23 @@ class TestConstructCommand:
 
 
 class TestVerifyCommand:
-    def test_fixture_verifies_conditionally(self, fixture_files, capsys):
+    def test_fixture_verifies_unconditionally(self, fixture_files, capsys):
         cert_path, poly_path = fixture_files
         code = main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "congruent to the certified class mod N: yes" in out
+        assert _flag_statuses(out) == dict.fromkeys(FLAG_NAMES, "pass")
+        assert "verdict: maximal-all-ell [full-hypothesis-set]" in out
+        assert "conditional" not in out
+
+    def test_fixture_verifies_conditionally(self, fixture_files, capsys):
+        # below 17 the screen leaves G's composite part 17^a 19^b 37^c 41^d
+        cert_path, poly_path = fixture_files
+        code = main(
+            ["verify", "--poly", str(poly_path), "--cert", str(cert_path),
+             "--scan-bound", "10"]
+        )
         out = capsys.readouterr().out
         assert code == 3
         assert "congruent to the certified class mod N: yes" in out
@@ -134,7 +152,9 @@ class TestVerifyCommand:
         assert set(statuses) == set(FLAG_NAMES)
         assert statuses["ss"] == "conditional"
         assert all(v == "pass" for k, v in statuses.items() if k != "ss")
+        assert "composite cofactor of 285 bits remains above the scan bound" in out
         assert "verdict: maximal-all-ell [full-hypothesis-set]" in out
+        assert "(conditional on no triple roots above the scan bound)" in out
 
     def test_clean_class_member_verifies_with_identical_flags(
         self, fixture_files, tmp_path, capsys
@@ -148,7 +168,7 @@ class TestVerifyCommand:
         _write_poly(member, shifted)
         code = main(["verify", "--poly", str(member), "--cert", str(cert_path)])
         out = capsys.readouterr().out
-        assert code == 3
+        assert code == 0
         assert _flag_statuses(out) == base
 
     def test_class_member_with_stray_triple_root_fails_honestly(
@@ -200,13 +220,13 @@ class TestVerifyCommand:
     ):
         cert_path, poly_path = fixture_files
         monkeypatch.setenv(SCAN_BOUND_ENV, "950")
-        assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 3
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 0
         assert "to 950" in capsys.readouterr().out
         code = main(
             ["verify", "--poly", str(poly_path), "--cert", str(cert_path),
              "--scan-bound", "1200"]
         )
-        assert code == 3
+        assert code == 0
         assert "to 1200" in capsys.readouterr().out
 
     def test_invalid_scan_bound_env_is_usage_error(
@@ -216,6 +236,51 @@ class TestVerifyCommand:
         monkeypatch.setenv(SCAN_BOUND_ENV, "many")
         assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 2
         assert SCAN_BOUND_ENV in capsys.readouterr().err
+
+    def test_scan_bound_above_cap_is_usage_error_before_any_sieve(
+        self, fixture_files, tmp_path, capsys, monkeypatch
+    ):
+        def no_sieve(bound):
+            raise AssertionError(f"sieve to {bound} was started")
+
+        monkeypatch.setattr(construct, "primes_up_to", no_sieve)
+        cert_path, poly_path = fixture_files
+        huge = str(10**40)
+        verify = ["verify", "--poly", str(poly_path), "--cert", str(cert_path)]
+        assert main(verify + ["--scan-bound", huge]) == 2
+        err = capsys.readouterr().err
+        assert err == f"gspmax: scan bound must be between 2 and {MAX_SCAN_BOUND}, got {huge}\n"
+        monkeypatch.setenv(SCAN_BOUND_ENV, str(MAX_SCAN_BOUND + 1))
+        assert main(verify) == 2
+        out = tmp_path / "cert.json"
+        assert main(["construct", "--genus", "6", "--out", str(out)]) == 2
+        assert "scan bound must be between" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top", ["[1, 2]", '"cert"', "7", "null"])
+    def test_non_object_files_are_usage_errors(
+        self, fixture_files, tmp_path, capsys, top
+    ):
+        cert_path, poly_path = fixture_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(top)
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"gspmax: malformed certificate file {bad}: not a JSON object\n"
+        assert main(["verify", "--poly", str(bad), "--cert", str(cert_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"gspmax: malformed polynomial file {bad}: not a JSON object\n"
+
+    def test_non_object_spec_entry_is_usage_error(self, fixture_files, tmp_path, capsys):
+        cert_path, poly_path = fixture_files
+        data = json.loads(cert_path.read_text())
+        data["specs"][0] = [1, 2]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gspmax: malformed certificate file {bad}: ")
+        assert err.count("\n") == 1
 
 
 class TestInertiaCommand:

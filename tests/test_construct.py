@@ -188,11 +188,20 @@ class TestAssemble:
 
 class TestScreenTripleRoots:
     def test_golden_screen_small_bound(self):
-        screen = screen_triple_roots(F0, scan_bound=10**4, rho_budget=0)
-        assert screen.found_primes == (2, 7, 17, 19, 37, 41, 5087)
-        assert screen.residual_cofactor > 1
-        assert not screen.complete
-        assert screen.resultant_abs % 5087 == 0
+        screen = screen_triple_roots(F0, scan_bound=10**4)
+        assert screen.found_primes == (2, 17, 19, 37, 41)
+        assert screen.residual_cofactor == 1
+        assert screen.complete
+        planted = 17**18 * 19**10 * 37**22 * 41**10
+        assert screen.candidate_gcd == 2**158 * planted
+        # 7 and 5087 divide Res(f', f'') but not G: no triple root there
+        d1 = poly_derivative(F0)
+        assert resultant(d1, poly_derivative(d1)) % (7 * 5087) == 0
+        assert screen.candidate_gcd % 7 and screen.candidate_gcd % 5087
+        short = screen_triple_roots(F0, scan_bound=10)
+        assert short.found_primes == (2,)
+        assert short.residual_cofactor == planted
+        assert not short.complete
 
     def test_screen_rejects_degenerate_derivatives(self):
         with pytest.raises(ValueError, match="share a root"):
@@ -202,14 +211,16 @@ class TestScreenTripleRoots:
 class TestFixMultiplicities:
     def test_golden_passes_through_unchanged(self):
         rec = fix_multiplicities(
-            F0, N, 6, exceptions=(17, 19, 37, 41), scan_bound=10**4, rho_budget=0
+            F0, N, 6, exceptions=(17, 19, 37, 41), scan_bound=10**4
         )
         assert list(rec.f) == F0
         assert rec.z == 0
         assert rec.linear_nudges == 0
         assert rec.pre_stage == ()
         assert rec.repaired_primes == ()
-        assert rec.status == "conditional"
+        assert rec.found_primes == (2, 17, 19, 37, 41)
+        assert rec.residual_cofactor == 1
+        assert rec.status == "clean"
 
     def test_planted_triple_root_is_repaired(self):
         p = 101
@@ -221,7 +232,7 @@ class TestFixMultiplicities:
             crt_integers([(F0[i], N), (planted[i], p)]) for i in range(14)
         ] + [1]
         rec = fix_multiplicities(
-            f_test, N, 6, exceptions=(17, 19, 37, 41), scan_bound=10**4, rho_budget=0
+            f_test, N, 6, exceptions=(17, 19, 37, 41), scan_bound=10**4
         )
         assert rec.repaired_primes == (p,)
         assert rec.z > 0
@@ -236,7 +247,7 @@ class TestFixMultiplicities:
             planted = poly_mul(planted, [(-r) % 7, 1], 7)
         f_test = [crt_integers([(clean[i], n), (planted[i], 7)]) for i in range(14)]
         f_test.append(1)
-        rec = fix_multiplicities(f_test, n, 6, scan_bound=10**3, rho_budget=0)
+        rec = fix_multiplicities(f_test, n, 6, scan_bound=10**3)
         assert len(rec.pre_stage) == 1 and rec.pre_stage[0][0] == 7
         assert max(multiplicity_profile(list(rec.f), 7)) <= 2
         assert all((a - b) % n == 0 for a, b in zip(rec.f, f_test))
@@ -247,7 +258,7 @@ class TestFixMultiplicities:
         n = (2**14) * 49
         f_test = [4096] + [0] * 13 + [1]
         rec = fix_multiplicities(
-            f_test, n, 6, exceptions=(7,), scan_bound=10**3, rho_budget=0
+            f_test, n, 6, exceptions=(7,), scan_bound=10**3
         )
         assert rec.linear_nudges == 1
         assert rec.n_tilde == n * 3 * 5 * 11
@@ -265,7 +276,7 @@ class TestFixMultiplicities:
         f_test = poly_mul(cube, [3] + [0] * 10 + [1])
         assert len(f_test) == 15
         with pytest.raises(ValueError, match="dividing n"):
-            fix_multiplicities(f_test, n, 6, scan_bound=10**3, rho_budget=0)
+            fix_multiplicities(f_test, n, 6, scan_bound=10**3)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="monic"):
@@ -281,7 +292,7 @@ class TestBuildCertificate:
         assert cert.modulus == N
         assert cert.f == cert.f0
         assert cert.repair.z == 0 and cert.repair.linear_nudges == 0
-        assert cert.repair.status == "conditional"
+        assert cert.repair.status == "clean"
         assert len(cert.specs) == len(cert.witnesses) == 11
         assert cert.plan.p_irr == 23 and cert.plan.p_lin == 29
 

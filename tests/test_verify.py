@@ -32,7 +32,13 @@ def _fixture_plan() -> PrimePlan:
 
 @functools.cache
 def _golden_report() -> VerificationReport:
-    return check_hypotheses(list(F0), _fixture_plan(), scan_bound=10**4, rho_budget=0)
+    return check_hypotheses(list(F0), _fixture_plan(), scan_bound=10**4)
+
+
+@functools.cache
+def _short_scan_report() -> VerificationReport:
+    """The golden report with a scan bound too small to factor G completely."""
+    return check_hypotheses(list(F0), _fixture_plan(), scan_bound=10)
 
 
 def _refit(report: VerificationReport, overrides: dict[str, str], **fields):
@@ -52,36 +58,29 @@ class TestGoldenReport:
         assert tuple(fl.name for fl in report.flags) == FLAG_NAMES
 
     def test_all_pass_except_conditional_scan(self):
-        report = _golden_report()
-        statuses = {fl.name: fl.status for fl in report.flags}
-        assert statuses == {
-            "2G+eps": "pass",
-            "2T": "pass",
-            "TT": "pass",
-            "p2": "pass",
-            "p3": "pass",
-            "p2'": "pass",
-            "p3'": "pass",
-            "3": "pass",
-            "S_2g+2": "pass",
-            "ss": "conditional",
-        }
+        statuses = {fl.name: fl.status for fl in _golden_report().flags}
+        assert statuses == dict.fromkeys(FLAG_NAMES, "pass")
+        short = {fl.name: fl.status for fl in _short_scan_report().flags}
+        assert short == {**statuses, "ss": "conditional"}
 
     def test_verdict_is_maximal_at_every_prime(self):
         v = _golden_report().verdict
         assert v.kind == "maximal-all-ell"
         assert v.excluded == ()
-        assert v.conditional is True
+        assert v.conditional is False
         assert v.basis == "full-hypothesis-set"
-        assert v.text.startswith("mod-l image maximal for every prime l")
-        assert "conditional on no triple roots" in v.text
+        assert v.text == "mod-l image maximal for every prime l"
+        short = _short_scan_report().verdict
+        assert short.kind == "maximal-all-ell"
+        assert short.conditional is True
+        assert "conditional on no triple roots" in short.text
 
     def test_scan_record_contents(self):
         scan = _golden_report().scan
         assert scan.bound == 10**4
-        assert scan.found_primes == (2, 7, 17, 19, 37, 41, 5087)
+        assert scan.found_primes == (2, 17, 19, 37, 41)
         assert scan.bad_primes == ((2, 14), (17, 11), (19, 7), (37, 13), (41, 11))
-        assert scan.residual_cofactor > 1
+        assert scan.residual_cofactor == 1
 
     def test_symmetric_group_evidence_complete(self):
         mod_2 = _golden_report().mod_2
@@ -102,12 +101,17 @@ class TestGoldenReport:
         assert report.flag("2G+eps").detail == "14 = 7+7 = 3+11, q3 = 13"
         assert "type 2-{13} at 37: yes" in report.flag("p3").detail
         assert "generator mod 13, 3, 11: yes" in report.flag("p2'").detail
-        assert "unfactored cofactor" in report.flag("ss").detail
+        assert report.flag("ss").detail == (
+            "2-adic good-reduction family: yes; stray triple-root primes to 10000: none"
+        )
+        assert "composite cofactor of 285 bits remains above the scan bound" in (
+            _short_scan_report().flag("ss").detail
+        )
 
     def test_matches_certificate_output(self):
         cert = build_certificate(6, seed=FIXTURE_SEED)
         report = check_hypotheses(
-            list(cert.f), cert.plan, scan_bound=10**4, rho_budget=0
+            list(cert.f), cert.plan, scan_bound=10**4
         )
         assert report == dataclasses.replace(_golden_report(), plan=cert.plan)
 
@@ -132,7 +136,7 @@ class TestPreconditions:
 
     def test_shared_derivative_root_disables_scan(self):
         f = [3] + [0] * 13 + [1]
-        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3, rho_budget=0)
+        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3)
         ss = report.flag("ss")
         assert ss.status == "fail"
         assert "derivatives share a root" in ss.detail
@@ -145,7 +149,7 @@ class TestPerturbedInputs:
     def test_unit_shift_of_linear_coefficient_fails(self):
         f = list(F0)
         f[1] += 1
-        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3, rho_budget=0)
+        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3)
         fails = {fl.name for fl in report.flags if fl.status == "fail"}
         assert {"2T", "TT", "ss"} <= fails
         assert "2G+eps" not in fails
@@ -154,7 +158,7 @@ class TestPerturbedInputs:
 
     def test_flat_polynomial_fails_many_flags(self):
         f = [-1] + [0] * 13 + [1]
-        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3, rho_budget=0)
+        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3)
         fails = {fl.name for fl in report.flags if fl.status == "fail"}
         assert {"2T", "TT", "p2", "p3", "p2'", "p3'", "ss"} <= fails
         assert report.verdict.kind == "none"
@@ -196,9 +200,21 @@ class TestVerdictTaxonomy:
         assert v.basis == "insufficient"
 
     def test_conditional_scan_propagates_into_every_kind(self):
-        v = verdict(_refit(_golden_report(), {"S_2g+2": "fail"}), 6)
-        assert v.conditional is True
-        assert "conditional on no triple roots" in v.text
+        kinds = set()
+        for failing in ({}, {"S_2g+2": "fail"}, {"p2'": "fail"}, {"2T": "fail"}):
+            v = verdict(_refit(_golden_report(), {**failing, "ss": "conditional"}), 6)
+            kinds.add((v.kind, v.basis))
+            assert v.conditional is True
+            if v.kind != "none":
+                assert v.text.endswith(
+                    " (conditional on no triple roots above the scan bound)"
+                )
+        assert kinds == {
+            ("maximal-all-ell", "full-hypothesis-set"),
+            ("maximal-except", "full-hypothesis-set"),
+            ("maximal-except", "partial-hypothesis-set"),
+            ("none", "insufficient"),
+        }
 
     def test_unconditional_when_scan_passes(self):
         v = verdict(_refit(_golden_report(), {"ss": "pass"}), 6)
@@ -241,12 +257,11 @@ class TestPartialRoute:
 
     def test_unwitnessed_primed_blocks_fall_back_to_partial_verdict(self):
         f, plan = self._semistable_outside_core()
-        report = check_hypotheses(f, plan, scan_bound=10**4, rho_budget=0)
+        report = check_hypotheses(f, plan, scan_bound=10**4)
         statuses = {fl.name: fl.status for fl in report.flags}
         assert statuses["p2'"] == "fail"
         assert statuses["p3'"] == "fail"
-        assert statuses["ss"] == "conditional"
-        for name in ("2G+eps", "2T", "TT", "p2", "p3", "3", "S_2g+2"):
+        for name in ("2G+eps", "2T", "TT", "p2", "p3", "3", "S_2g+2", "ss"):
             assert statuses[name] == "pass"
         assert "type 1-{3,11} at 149: no" in report.flag("p2'").detail
         assert report.partial_admissible is True
@@ -281,13 +296,17 @@ class TestExceptionalTable:
 
 class TestScanBounds:
     def test_widening_the_bound_keeps_verdict_and_grows_found_set(self):
-        low = check_hypotheses(list(F0), _fixture_plan(), scan_bound=10**3, rho_budget=0)
+        low = _short_scan_report()
+        mid = check_hypotheses(list(F0), _fixture_plan(), scan_bound=10**3)
         high = _golden_report()
-        assert set(low.scan.found_primes) < set(high.scan.found_primes)
-        assert low.scan.bad_primes == high.scan.bad_primes
-        assert low.flag("ss").status == high.flag("ss").status == "conditional"
-        assert low.scan.residual_cofactor % 5087 == 0
-        assert low.scan.residual_cofactor > high.scan.residual_cofactor
+        assert set(low.scan.found_primes) < set(mid.scan.found_primes)
+        # G's largest prime is 41, so every bound past it finds the same set
+        assert mid.scan == dataclasses.replace(high.scan, bound=10**3)
+        assert low.scan.bad_primes == ((2, 14),)
+        assert low.scan.residual_cofactor == 17**18 * 19**10 * 37**22 * 41**10
+        assert low.flag("ss").status == "conditional"
+        assert mid.flag("ss").status == high.flag("ss").status == "pass"
+        assert low.verdict.kind == mid.verdict.kind == high.verdict.kind
 
 
 class TestTotallyToricAgreement:
