@@ -421,12 +421,6 @@ class Factorization:
     unit: int
     factors: tuple[tuple[tuple[int, ...], int], ...]
 
-    def multiplicity_profile(self) -> list[int]:
-        prof: list[int] = []
-        for poly, e in self.factors:
-            prof.extend([e] * (len(poly) - 1))
-        return sorted(prof)
-
 
 def _fp_ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree split of monic squarefree f: [(product, degree), ...]."""

@@ -39,7 +39,8 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 SCAN_BOUND_ENV = "GSPMAX_SCAN_BOUND"
-# Largest accepted scan bound; sieving to it takes under a second.
+# Largest accepted scan bound and goldbach --max, so that no sieve grows
+# without limit; sieving to it takes under a second.
 MAX_SCAN_BOUND = 10**7
 
 EXIT_PASS = 0
@@ -372,6 +373,8 @@ def _print_report(report: VerificationReport) -> None:
 
 def cmd_goldbach(args: argparse.Namespace) -> int:
     if args.max is not None:
+        if args.max > MAX_SCAN_BOUND:
+            raise _CliError(EXIT_USAGE, f"--max must be at most {MAX_SCAN_BOUND}, got {args.max}")
         try:
             exceptions = verify_range(args.max)
         except ValueError as err:
@@ -516,7 +519,10 @@ def cmd_inertia(args: argparse.Namespace) -> int:
         print(f"type {t}-{{{label}}} recognized at {p}")
         print(f"block shifts: {', '.join(str(s) for s in witness.shifts)}")
         if all(q != 2 for q in qs):
-            picture = clusters_from_type(t, list(qs), deg)
+            try:
+                picture = clusters_from_type(t, list(qs), deg)
+            except ValueError as err:
+                raise _CliError(EXIT_USAGE, str(err)) from err
             print(f"cluster picture: {_cluster_summary(picture)}")
             decomposition = etale_decomposition(picture, t, g)
             print(

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from .arith import (
     crt_integers,
-    fp_factor,
     fp_gcd,
-    fp_is_irreducible,
     is_prime,
     is_primitive_root,
     poly_deg,
@@ -27,15 +25,7 @@ from .arith import (
     resultant,
 )
 from .goldbach import GoldbachTuple, two_g_eps_tuples
-from .localtypes import (
-    FIXTURE_SEED,
-    WITNESS_BUDGET,
-    LocalSpec,
-    good_reduction_at_2,
-    multiplicity_profile,
-    recognize_type,
-    witness_poly,
-)
+from .localtypes import FIXTURE_SEED, WITNESS_BUDGET, LocalSpec, witness_poly
 
 PLAN_SCAN_BOUND = 10**6
 
@@ -156,8 +146,6 @@ def plan_primes(g: int, tup: GoldbachTuple, seed: int = 0) -> PrimePlan:
     skipping 2, the odd primes <= g, and primes already assigned. The seed
     only selects the frozen reference plan (available for genus 6).
     """
-    if tup.g != g:
-        raise ValueError("prime tuple belongs to a different genus")
     if seed == FIXTURE_SEED:
         if g != 6 or tup.qs != (7, 7, 3, 11, 13):
             raise ValueError("no reference plan for this genus and tuple")
@@ -482,43 +470,6 @@ class Certificate:
         return self.repair.f
 
 
-def _closed_form_modulus(plan: PrimePlan) -> int:
-    """The modulus product written out prime by prime."""
-    g = plan.g
-    value = (
-        plan.p_t**2
-        * plan.p_t_prime**2
-        * plan.p_lin
-        * plan.p_irr
-        * plan.p_2**2
-        * plan.p_2_prime**2
-        * plan.p_3**3
-        * plan.p_3_prime**3
-        * 2 ** (2 * g + 2)
-    )
-    for ell in primes_up_to(g):
-        if ell % 2 == 1:
-            value *= ell**2
-    return value
-
-
-def _check_spec(f: list[int], spec: LocalSpec, g: int) -> bool:
-    """Re-verify one congruence on the assembled polynomial from scratch."""
-    if spec.kind == "type":
-        return recognize_type(f, spec.p, spec.t, list(spec.qs)) is not None
-    if spec.kind == "double_roots":
-        deg = 2 * g + 2
-        want = [1] * (deg - 2 * spec.count) + [2] * spec.count
-        return multiplicity_profile(f, spec.p) == want
-    if spec.kind == "irreducible":
-        return fp_is_irreducible(poly_reduce(f, spec.p), spec.p)
-    if spec.kind == "linear_times_irreducible":
-        fac = fp_factor(poly_reduce(f, spec.p), spec.p)
-        degrees = sorted(len(poly) - 1 for poly, _ in fac.factors)
-        return degrees == [1, 2 * g + 1] and all(e == 1 for _, e in fac.factors)
-    return good_reduction_at_2(f, g)
-
-
 def build_certificate(
     g: int,
     seed: int = 0,
@@ -528,8 +479,9 @@ def build_certificate(
     """Construct a certified polynomial for one genus, end to end.
 
     Picks the first prime tuple for the genus, plans the auxiliary primes,
-    generates witness polynomials, assembles them, repairs stray triple
-    roots, and re-checks every congruence on the result before returning.
+    generates witness polynomials, assembles them and repairs stray triple
+    roots. The congruences are not re-checked here: each one depends only on
+    f mod N, and verify.check_hypotheses evaluates all of them on the final f.
     """
     tuples = two_g_eps_tuples(g)
     if not tuples:
@@ -542,11 +494,6 @@ def build_certificate(
     specs = local_spec_list(plan)
     witnesses = [witness_poly(spec, g, seed=seed, budget=budget) for spec in specs]
     f0, modulus = assemble(list(zip(specs, witnesses)), g)
-    if modulus != _closed_form_modulus(plan):
-        raise RuntimeError("internal error: modulus mismatch against the closed form")
-    for spec in specs:
-        if not _check_spec(f0, spec, g):
-            raise RuntimeError(f"internal error: assembled f0 fails its shape mod {spec.p}")
     repair = fix_multiplicities(
         f0,
         modulus,

@@ -5,10 +5,8 @@ a t-Eisenstein block pattern (one cluster of size q and depth t/q per block)
 and the picture of a reduction whose roots have multiplicity at most 2 (one
 size-2 cluster of unknown positive depth per double root). For these the
 module computes the numerical cluster data, the dimensions of the abelian
-and toric parts of H^1, tame inertia eigenvalue multisets, semistability and
-toric dimension bounds, transvection detection, and the sufficient criteria
-for inertia not to permute the factors of a stable decomposition of the
-ell-torsion.
+and toric parts of H^1, tame inertia eigenvalue multisets, and semistability
+and toric dimension bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .arith import is_prime, poly_deg, poly_derivative, poly_trim, resultant
-from .localtypes import multiplicity_profile, recognize_type
+from .localtypes import multiplicity_profile
 
 SUPPORTED_FAMILIES = ("type", "double_roots")
 
@@ -127,20 +125,6 @@ class ReductionStatus:
 
     status: str
     toric_dim: int | None
-
-
-@dataclass(frozen=True)
-class AdmissibilityFlags:
-    """Which no-permutation criteria certify a prime, with their bases.
-
-    away_from_p covers stable decompositions of the ell-torsion for every
-    odd ell coprime to p; at_p covers ell = p itself.
-    """
-
-    away_from_p: bool
-    at_p: bool
-    away_basis: str
-    at_p_basis: str
 
 
 def _validate_type_data(t: int, qs: list[int]) -> None:
@@ -324,22 +308,6 @@ def tame_eigenvalues(t: int, qs: list[int], g: int) -> EigenvalueMultiset:
     )
 
 
-def raynaud_exponents(p: int, n: int, e: int) -> set[int]:
-    """Admissible exponents on zeta_{p^n - 1} for tame inertia eigenvalues.
-
-    The set {sum a_i p^i : 0 <= a_i <= e, 0 <= i < n} of exponents allowed
-    for a semistable abelian variety over a field of ramification degree e.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1 or e < 1:
-        raise ValueError("need n >= 1 and e >= 1")
-    return {
-        sum(a * p**i for i, a in enumerate(digits))
-        for digits in itertools.product(range(e + 1), repeat=n)
-    }
-
-
 def semistable_from_reduction(f: list[int], p: int, g: int) -> ReductionStatus:
     """Semistability of y^2 = f(x) at odd p from root multiplicities mod p.
 
@@ -364,80 +332,12 @@ def semistable_from_reduction(f: list[int], p: int, g: int) -> ReductionStatus:
 
 
 def is_totally_toric(f: list[int], ell: int, g: int) -> bool:
-    """True iff the reduction criterion certifies toric dimension g at ell."""
-    status = semistable_from_reduction(f, ell, g)
-    return status.status == "semistable" and status.toric_dim == g
+    """True iff the reduction criterion certifies toric dimension g at ell.
 
-
-def transvection_at(f: list[int], p: int) -> bool:
-    """True iff f has a 1-Eisenstein double-root block at p.
-
-    Inertia at such p then acts on the ell-torsion through a transvection
-    for every odd ell different from p.
+    That is semistable_from_reduction's criterion (every root of f mod ell
+    of multiplicity at most 2) with at least g double roots. Unlike it, f is
+    not validated here: the caller has checked that f is monic, squarefree
+    and of degree 2g + 2.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    return recognize_type(f, p, 1, [2]) is not None
-
-
-def admissibility_flags(
-    p: int,
-    g: int,
-    context: str,
-    t: int | None = None,
-    qs: tuple[int, ...] = (),
-) -> AdmissibilityFlags:
-    """Evaluate the sufficient no-permutation criteria at p over the rationals.
-
-    context is "semistable", "totally_toric", or "type" (with t and qs).
-    away_from_p certifies that inertia at p fixes the factors of any stable
-    symplectic decomposition of the ell-torsion for odd ell != p: semistable
-    reduction always qualifies, as do block patterns t-{q1,q2} with t odd
-    and q1+q2 = 2g+2, and 2-{q} with g+1 < q < 2g+2. at_p covers ell = p:
-    semistable reduction needs p > max(g, 3), totally toric reduction needs
-    p != 3.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if context not in ("semistable", "totally_toric", "type"):
-        raise ValueError(f"unknown context {context!r}")
-
-    away = False
-    away_basis = "not-certified"
-    at_p = False
-    at_p_basis = "not-certified"
-
-    if context in ("semistable", "totally_toric"):
-        away = True
-        away_basis = "semistable-unipotent"
-        if p > max(g, 3):
-            at_p = True
-            at_p_basis = "semistable-large-p"
-        if context == "totally_toric" and p not in (2, 3):
-            at_p = True
-            at_p_basis = "totally-toric-odd-ramification"
-    else:
-        if t is None or not qs:
-            raise ValueError("type context needs t and qs")
-        _validate_type_data(t, list(qs))
-        if p == 2:
-            raise ValueError("type context needs odd p")
-        if (
-            t % 2 == 1
-            and len(qs) == 2
-            and sum(qs) == 2 * g + 2
-            and p not in qs
-        ):
-            away = True
-            away_basis = "odd-type-prime-pair"
-        elif t == 2 and len(qs) == 1 and g + 1 < qs[0] < 2 * g + 2 and qs[0] != p:
-            away = True
-            away_basis = "single-large-block"
-    return AdmissibilityFlags(
-        away_from_p=away,
-        at_p=at_p,
-        away_basis=away_basis,
-        at_p_basis=at_p_basis,
-    )
+    profile = multiplicity_profile(f, ell)
+    return max(profile) <= 2 and profile.count(2) >= g

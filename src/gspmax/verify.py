@@ -14,7 +14,6 @@ from .arith import (
     fp_factor,
     fp_is_irreducible,
     is_prime,
-    is_primitive_root,
     poly_deg,
     poly_derivative,
     poly_reduce,
@@ -121,18 +120,6 @@ def excluded_primes_exceptional(g: int) -> set[int]:
     return set(EXCEPTIONAL_EXCLUDED[g])
 
 
-def _tuple_flag(plan: PrimePlan) -> HypothesisFlag:
-    tup = plan.prime_tuple
-    qs = (tup.q1, tup.q2, tup.q3, tup.q4, tup.q5)
-    ok = (
-        all(is_prime(q) for q in qs)
-        and tup.q1 + tup.q2 == 2 * plan.g + 2 == tup.q4 + tup.q5
-        and tup.q4 < tup.q1 <= tup.q2 < tup.q5 < tup.q3 < 2 * plan.g + 2
-    )
-    detail = f"{2 * plan.g + 2} = {tup.q1}+{tup.q2} = {tup.q4}+{tup.q5}, q3 = {tup.q3}"
-    return HypothesisFlag("2G+eps", "pass" if ok else "fail", detail)
-
-
 def _type_at(f: list[int], p: int, t: int, qs: tuple[int, ...]) -> bool:
     return recognize_type(f, p, t, list(qs)) is not None
 
@@ -144,22 +131,19 @@ def _block_flag(
     t: int,
     qs: tuple[int, ...],
     roots_mod: tuple[int, ...],
-    g: int,
-) -> tuple[HypothesisFlag, bool]:
-    """Flag for one planned block pattern; also returns the bare type fact."""
+) -> HypothesisFlag:
+    """Flag for one planned block pattern.
+
+    Only the type is checked on f: p > 2g + 2 and the primitive roots mod
+    roots_mod hold for every PrimePlan, which rejects plans without them.
+    """
     typed = _type_at(f, p, t, qs)
-    big = p > 2 * g + 2
-    generator = all(is_primitive_root(p, q) for q in roots_mod)
-    ok = typed and big and generator
     blocks = ",".join(str(q) for q in qs)
-    parts = [f"type {t}-{{{blocks}}} at {p}: {'yes' if typed else 'no'}"]
-    if not big:
-        parts.append(f"{p} <= 2g+2")
-    parts.append(
-        f"generator mod {', '.join(str(q) for q in roots_mod)}: "
-        f"{'yes' if generator else 'no'}"
+    detail = (
+        f"type {t}-{{{blocks}}} at {p}: {'yes' if typed else 'no'}; "
+        f"generator mod {', '.join(str(q) for q in roots_mod)}: yes"
     )
-    return HypothesisFlag(name, "pass" if ok else "fail", "; ".join(parts)), typed
+    return HypothesisFlag(name, "pass" if typed else "fail", detail)
 
 
 def check_hypotheses(
@@ -170,7 +154,10 @@ def check_hypotheses(
     A flag reads "pass" only when this checker can certify the hypothesis;
     "fail" means not certified. The semistability flag is "conditional" when
     all located candidate primes are clean but a composite cofactor of the
-    triple-root screen's gcd remains above the scan bound.
+    triple-root screen's gcd remains above the scan bound. The parts of a
+    flag that depend on the plan alone (the tuple, distinct transvection
+    primes above g, sizes, primitive roots, residues mod 3) are validated
+    when the PrimePlan is created and only described here.
     """
     g = plan.g
     deg = 2 * g + 2
@@ -181,20 +168,17 @@ def check_hypotheses(
         raise ValueError("f must be squarefree")
     tup = plan.prime_tuple
 
-    flag_tuple = _tuple_flag(plan)
+    flag_tuple = HypothesisFlag(
+        "2G+eps",
+        "pass",
+        f"{deg} = {tup.q1}+{tup.q2} = {tup.q4}+{tup.q5}, q3 = {tup.q3}",
+    )
 
     t_at = _type_at(f, plan.p_t, 1, (2,))
     t_at_prime = _type_at(f, plan.p_t_prime, 1, (2,))
-    two_t_ok = (
-        t_at
-        and t_at_prime
-        and plan.p_t != plan.p_t_prime
-        and plan.p_t > g
-        and plan.p_t_prime > g
-    )
     flag_2t = HypothesisFlag(
         "2T",
-        "pass" if two_t_ok else "fail",
+        "pass" if t_at and t_at_prime else "fail",
         f"type 1-{{2}} at {plan.p_t}: {'yes' if t_at else 'no'}; "
         f"at {plan.p_t_prime}: {'yes' if t_at_prime else 'no'}",
     )
@@ -211,23 +195,14 @@ def check_hypotheses(
         or "no odd primes <= g",
     )
 
-    flag_p2, typed_p2 = _block_flag(
-        "p2", f, plan.p_2, 1, (tup.q1, tup.q2), (tup.q1, tup.q2, tup.q3), g
+    flag_p2 = _block_flag("p2", f, plan.p_2, 1, (tup.q1, tup.q2), (tup.q1, tup.q2, tup.q3))
+    flag_p3 = _block_flag("p3", f, plan.p_3, 2, (tup.q3,), (tup.q3,))
+    flag_p2p = _block_flag(
+        "p2'", f, plan.p_2_prime, 1, (tup.q4, tup.q5), (tup.q3, tup.q4, tup.q5)
     )
-    flag_p3, typed_p3 = _block_flag("p3", f, plan.p_3, 2, (tup.q3,), (tup.q3,), g)
-    flag_p2p, typed_p2p = _block_flag(
-        "p2'", f, plan.p_2_prime, 1, (tup.q4, tup.q5), (tup.q3, tup.q4, tup.q5), g
-    )
-    flag_p3p, typed_p3p = _block_flag(
-        "p3'", f, plan.p_3_prime, 2, (tup.q5,), (tup.q5,), g
-    )
+    flag_p3p = _block_flag("p3'", f, plan.p_3_prime, 2, (tup.q5,), (tup.q5,))
 
-    three_ok = plan.p_2 % 3 == 1 and plan.p_3 % 3 == 1
-    flag_3 = HypothesisFlag(
-        "3",
-        "pass" if three_ok else "fail",
-        f"{plan.p_2} = {plan.p_2 % 3} mod 3, {plan.p_3} = {plan.p_3 % 3} mod 3",
-    )
+    flag_3 = HypothesisFlag("3", "pass", f"{plan.p_2} = 1 mod 3, {plan.p_3} = 1 mod 3")
 
     irreducible = fp_is_irreducible(poly_reduce(f, plan.p_irr), plan.p_irr)
     lin_fac = fp_factor(poly_reduce(f, plan.p_lin), plan.p_lin)
@@ -307,7 +282,7 @@ def check_hypotheses(
         good_2
         and scan.residual_cofactor != 0
         and all(
-            (p == plan.p_2_prime and typed_p2p) or (p == plan.p_3_prime and typed_p3p)
+            (p == plan.p_2_prime and flag_p2p.ok) or (p == plan.p_3_prime and flag_p3p.ok)
             for p, _ in stray_partial
         )
     )

@@ -343,7 +343,6 @@ def test_fp_factor_known():
     # x^2 + 1 mod 7 irreducible
     fac = fp_factor([1, 0, 1], 7)
     assert fac.factors == (((1, 0, 1), 1),)
-    assert fac.multiplicity_profile() == [1, 1]
 
 
 def test_fp_factor_with_unit_and_multiplicity():

@@ -1,11 +1,13 @@
 """Tests for the command-line interface, file formats, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from golden_data import F0, N, PLAN_G6
-from gspmax import construct
+from gspmax import construct, goldbach
+from gspmax.arith import poly_mul
 from gspmax.cli import (
     MAX_SCAN_BOUND,
     SCAN_BOUND_ENV,
@@ -81,6 +83,16 @@ class TestGoldbachCommand:
     def test_bad_bound_is_usage_error(self):
         assert main(["goldbach", "--max", "3"]) == 2
 
+    def test_max_above_cap_is_usage_error_before_any_sieve(self, capsys, monkeypatch):
+        def no_sieve(bound):
+            raise AssertionError(f"sieve to {bound} was started")
+
+        monkeypatch.setattr(goldbach, "primes_up_to", no_sieve)
+        for value in (MAX_SCAN_BOUND + 1, 10**40):
+            assert main(["goldbach", "--max", str(value)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"gspmax: --max must be at most {MAX_SCAN_BOUND}, got {value}\n"
+
 
 class TestConstructCommand:
     def test_fixture_certificate_matches_goldens(self, fixture_files):
@@ -106,6 +118,34 @@ class TestConstructCommand:
         data = json.loads(poly_path.read_text())
         assert data["degree"] == 14
         assert data["coeffs"] == [str(c) for c in F0]
+
+    @pytest.mark.parametrize(
+        "options, digest",
+        [
+            (["--fixture"], "969a4c832ecfb04c9ca7ba7515f260c29a9a3e2637503991fa8c27b675cfb8fb"),
+            (["--seed", "0"], "343830b9139d1e5400e4b18432817b1bcd06047dacdc58b8a1eb7f3978340ff0"),
+        ],
+    )
+    def test_certificate_file_digest_is_pinned(self, tmp_path, options, digest):
+        out = tmp_path / "cert.json"
+        assert main(["construct", "--genus", "6", *options, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_broken_witness_shows_as_failing_flag(self, tmp_path, monkeypatch):
+        real = construct.witness_poly
+
+        def broken(spec, g, **kwargs):
+            if spec.kind == "irreducible":
+                return [-1] + [0] * (2 * g + 1) + [1]  # x^(2g+2) - 1 splits mod p_irr
+            return real(spec, g, **kwargs)
+
+        monkeypatch.setattr(construct, "witness_poly", broken)
+        out = tmp_path / "cert.json"
+        assert main(["construct", "--genus", "6", "--fixture", "--out", str(out)]) == 1
+        flags = json.loads(out.read_text())["report"]["flags"]
+        statuses = {fl["name"]: fl["status"] for fl in flags}
+        assert statuses.pop("S_2g+2") == "fail"
+        assert set(statuses.values()) == {"pass"}
 
     def test_rerun_is_byte_identical(self, fixture_files, tmp_path):
         cert_path, _ = fixture_files
@@ -333,6 +373,14 @@ class TestInertiaCommand:
         code = main(["inertia", "--poly", str(poly_path), "--prime", "17", "--t", "2"])
         assert code == 2
         assert "together" in capsys.readouterr().err
+
+    def test_block_size_sharing_a_factor_with_t_is_usage_error(self, tmp_path, capsys):
+        # (x^3 - 125)(x^11 + x + 1) has type 3-{3} at 5, but 3 divides t = 3
+        poly = tmp_path / "cube.json"
+        _write_poly(poly, poly_mul([-125, 0, 0, 1], [1, 1] + [0] * 9 + [1]))
+        code = main(["inertia", "--poly", str(poly), "--prime", "5", "--t", "3", "--qs", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == "gspmax: block sizes must be coprime to t\n"
 
     def test_repeated_factor_is_usage_error(self, tmp_path, capsys):
         poly = tmp_path / "square.json"

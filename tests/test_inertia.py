@@ -1,4 +1,4 @@
-"""Tests for cluster pictures, tame eigenvalues, and admissibility criteria."""
+"""Tests for cluster pictures, tame eigenvalues, and reduction criteria."""
 
 import itertools
 import random
@@ -7,18 +7,16 @@ from fractions import Fraction
 import pytest
 
 from golden_data import F0
+from gspmax.arith import is_prime, poly_mul
+from gspmax.localtypes import multiplicity_profile
 from gspmax.inertia import (
-    AdmissibilityFlags,
-    admissibility_flags,
     cluster_invariants,
     clusters_from_double_roots,
     clusters_from_type,
     etale_decomposition,
     is_totally_toric,
-    raynaud_exponents,
     semistable_from_reduction,
     tame_eigenvalues,
-    transvection_at,
 )
 
 # ---------------------------------------------------------------------------
@@ -339,30 +337,6 @@ def test_unipotent_square_zero_has_order_one_or_ell():
 
 
 # ---------------------------------------------------------------------------
-# Raynaud exponents
-
-
-def test_raynaud_exponent_examples():
-    assert raynaud_exponents(3, 1, 1) == {0, 1}
-    assert raynaud_exponents(3, 2, 1) == {0, 1, 3, 4}
-    assert raynaud_exponents(5, 1, 2) == {0, 1, 2}
-
-
-def test_raynaud_exponent_properties():
-    for p in (3, 5, 7):
-        for n in (1, 2, 3):
-            for e in (1, 2):
-                exps = raynaud_exponents(p, n, e)
-                assert 0 in exps
-                assert len(exps) <= (e + 1) ** n
-                assert all(0 <= x < p**n for x in exps)
-    with pytest.raises(ValueError, match="not prime"):
-        raynaud_exponents(4, 1, 1)
-    with pytest.raises(ValueError):
-        raynaud_exponents(3, 0, 1)
-
-
-# ---------------------------------------------------------------------------
 # reduction criteria on the golden polynomial
 
 
@@ -387,8 +361,6 @@ def test_semistable_from_reduction_validation():
 
 
 def _square_poly():
-    from gspmax.arith import poly_mul
-
     h = [1, 1, 0, 1, 0, 0, 1, 1]  # degree 7
     return poly_mul(h, h)
 
@@ -399,56 +371,31 @@ def test_totally_toric_on_golden():
     assert not is_totally_toric(F0, 101, 6)
 
 
-def test_transvection_on_golden():
-    assert transvection_at(F0, 7)
-    assert transvection_at(F0, 11)
-    assert not transvection_at([-1] + [0] * 13 + [1], 7)
-    with pytest.raises(ValueError, match="odd prime"):
-        transvection_at(F0, 2)
+def _certifies_toric_dimension_g(f, ell, g):
+    status = semistable_from_reduction(f, ell, g)
+    return status.status == "semistable" and status.toric_dim == g
 
 
-# ---------------------------------------------------------------------------
-# admissibility
+def test_totally_toric_with_more_than_g_double_roots():
+    # h is squarefree mod 5, so f = h^2 + 5 has g + 1 = 7 double roots mod 5
+    h = [0, 1]
+    for factor in ([-1, 1], [-2, 1], [-3, 1], [-4, 1], [2, 0, 1]):
+        h = poly_mul(h, factor)
+    f = poly_mul(h, h)
+    f[0] += 5
+    assert semistable_from_reduction(f, 5, 6).toric_dim == 6
+    assert is_totally_toric(f, 5, 6) and _certifies_toric_dimension_g(f, 5, 6)
 
 
-def test_admissibility_examples():
-    flags = admissibility_flags(37, 6, "type", t=2, qs=(13,))
-    assert flags.away_from_p and flags.away_basis == "single-large-block"
-    assert not flags.at_p
-
-    flags = admissibility_flags(19, 6, "type", t=1, qs=(7, 7))
-    assert flags.away_from_p and flags.away_basis == "odd-type-prime-pair"
-
-    flags = admissibility_flags(5, 6, "semistable")
-    assert flags.away_from_p and flags.away_basis == "semistable-unipotent"
-    assert not flags.at_p and flags.at_p_basis == "not-certified"
-
-    flags = admissibility_flags(7, 6, "semistable")
-    assert flags.at_p and flags.at_p_basis == "semistable-large-p"
-
-    flags = admissibility_flags(5, 6, "totally_toric")
-    assert flags.at_p and flags.at_p_basis == "totally-toric-odd-ramification"
-
-    flags = admissibility_flags(3, 6, "totally_toric")
-    assert flags.away_from_p and not flags.at_p
+def test_totally_toric_fails_on_a_triple_root():
+    # (x - 1)^3 (x^11 + x + 2) + 3 has a triple root at 1 mod 3
+    f = poly_mul([-1, 3, -3, 1], [2, 1] + [0] * 9 + [1])
+    f[0] += 3
+    assert max(multiplicity_profile(f, 3)) == 3
+    assert not is_totally_toric(f, 3, 6)
+    assert not _certifies_toric_dimension_g(f, 3, 6)
 
 
-def test_admissibility_type_rejections():
-    flags = admissibility_flags(19, 6, "type", t=2, qs=(7, 7))
-    assert not flags.away_from_p  # even t certifies nothing for a pair
-    flags = admissibility_flags(19, 6, "type", t=1, qs=(3, 7))
-    assert not flags.away_from_p  # pair must fill the whole degree
-    flags = admissibility_flags(13, 6, "type", t=2, qs=(13,))
-    assert not flags.away_from_p  # block size must differ from p
-    flags = admissibility_flags(37, 6, "type", t=2, qs=(7,))
-    assert not flags.away_from_p  # block too small
-    with pytest.raises(ValueError, match="needs t and qs"):
-        admissibility_flags(19, 6, "type")
-    with pytest.raises(ValueError, match="unknown context"):
-        admissibility_flags(19, 6, "mystery")
-
-
-def test_admissibility_returns_record():
-    flags = admissibility_flags(11, 4, "semistable")
-    assert isinstance(flags, AdmissibilityFlags)
-    assert flags.at_p  # 11 > max(4, 3)
+@pytest.mark.parametrize("ell", [p for p in range(3, 51) if is_prime(p)])
+def test_totally_toric_agrees_with_reduction_criterion_on_golden(ell):
+    assert is_totally_toric(F0, ell, 6) == _certifies_toric_dimension_g(F0, ell, 6)

@@ -2,12 +2,14 @@
 
 import dataclasses
 import functools
+import random
 
 import pytest
 
 from golden_data import F0, PLAN_G6, TUPLE_G6
+from gspmax import arith, construct, inertia, verify
 from gspmax.arith import poly_mul
-from gspmax.construct import PrimePlan, assemble, build_certificate
+from gspmax.construct import PrimePlan, assemble, build_certificate, plan_primes
 from gspmax.goldbach import GoldbachTuple, two_g_eps_tuples
 from gspmax.localtypes import FIXTURE_SEED, LocalSpec, multiplicity_profile, witness_poly
 from gspmax.verify import (
@@ -314,3 +316,23 @@ class TestTotallyToricAgreement:
     def test_flag_matches_reduction_profile(self, ell):
         assert sorted(multiplicity_profile(F0, ell)) == [1, 1] + [2] * 6
         assert _golden_report().flag("TT").status == "pass"
+
+
+class TestComputeOnce:
+    def test_one_discriminant_and_two_screen_resultants_per_check(self, monkeypatch):
+        g = 10
+        plan = plan_primes(g, two_g_eps_tuples(g)[0])
+        rng = random.Random(10)
+        f = [rng.randint(-9, 9) for _ in range(2 * g + 2)] + [1]
+        calls = []
+
+        def counted(a, b):
+            calls.append((len(a), len(b)))
+            return arith.resultant(a, b)
+
+        for module in (verify, construct, inertia):
+            monkeypatch.setattr(module, "resultant", counted)
+        report = check_hypotheses(f, plan, scan_bound=10**3)
+        assert report.flag("TT").status == "fail"  # evaluated at 3, 5 and 7
+        # Res(f, f'), then Res(f', f'') and Res(f, f'') for the screen
+        assert calls == [(23, 22), (22, 21), (23, 21)]
