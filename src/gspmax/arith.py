@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 # ---------------------------------------------------------------------------
@@ -357,15 +358,73 @@ def fp_extgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int],
 
 
 def fp_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base^e mod (mod) over F_p, by square and multiply."""
-    result = [1]
+    """base^e mod (mod) over F_p, by square and multiply on packed integers.
+
+    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+    Algebra, section 8.4): with the modulus made monic of degree n, a
+    polynomial is packed into one Python int, coefficient i in the
+    width-bit slot i, so that each product of two residues is one
+    big-integer product. The product is reduced by schoolbook division in
+    packed form: from slot 2n - 2 down to slot n, the slot is read mod p as
+    t, and t * (x^n mod (mod)), packed and shifted to the slot's position,
+    is added. The n low slots are then unpacked mod p and repacked.
+
+    The slot width (2*n*p^2).bit_length() + 1 keeps slots from carrying
+    into each other: a product coefficient is a sum of at most n terms below
+    p^2, and each of the fewer than n folds that reach a slot adds a term
+    below p^2, so every slot stays below 2*n*p^2.
+
+    e = 0 gives [1]; for e >= 1 a constant modulus or a base divisible by
+    the modulus gives [].
+    """
+    if e < 0:
+        raise ValueError("negative exponent")
+    mod = fp_monic(mod, p)
+    if not mod:
+        raise ZeroDivisionError("division by zero polynomial")
     base = fp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = fp_divmod(poly_mul(result, base, p), mod, p)[1]
-        base = fp_divmod(poly_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+    if e == 0:
+        return [1]
+    if not base:
+        return []
+    n = poly_deg(mod)
+    width = (2 * n * p * p).bit_length() + 1
+    slot = (1 << width) - 1
+    low_mask = (1 << (n * width)) - 1
+    low_shifts = range((n - 1) * width, -1, -width)
+    # (position of slot i, shift that moves slot 0 to slot i - n), i = 2n-2 .. n
+    folds = [(i * width, (i - n) * width) for i in range(2 * n - 2, n - 1, -1)]
+
+    def pack(coeffs: list[int]) -> int:
+        packed = 0
+        for c in reversed(coeffs):
+            packed = (packed << width) | c
+        return packed
+
+    x_to_n = pack([-c % p for c in mod[:-1]])  # x^n mod (mod)
+
+    def reduce(product: int) -> int:
+        for at, down in folds:
+            t = ((product >> at) & slot) % p
+            if t:
+                product += (t * x_to_n) << down
+        product &= low_mask
+        packed = 0
+        for at in low_shifts:
+            packed = (packed << width) | ((product >> at) & slot) % p
+        return packed
+
+    packed_base = pack(base)
+    acc = packed_base
+    for bit in bin(e)[3:]:
+        acc = reduce(acc * acc)
+        if bit == "1":
+            acc = reduce(acc * packed_base)
+    out = []
+    for _ in range(n):
+        out.append(acc & slot)
+        acc >>= width
+    return poly_trim(out)
 
 
 def _fp_pth_root(a: list[int], p: int) -> list[int]:
@@ -422,24 +481,30 @@ class Factorization:
     factors: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _fp_ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree split of monic squarefree f: [(product, degree), ...]."""
-    out = []
+def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
+    """Distinct-degree split of monic squarefree f, yielding (product, degree).
+
+    At step d, h = x^(p^d) mod f and gcd(h - x, f) is the product of the
+    irreducible factors of degree d, which are divided out before step
+    d + 1; once 2d exceeds deg f, what is left is irreducible. Each block is
+    yielded as soon as it is found. For f that is not squarefree only the
+    first block is meaningful: its degree is the least degree of an
+    irreducible factor of f.
+    """
     h = [0, 1]  # x
     x = [0, 1]
     d = 0
     while poly_deg(f) > 0:
         d += 1
         if 2 * d > poly_deg(f):
-            out.append((f, poly_deg(f)))
-            break
+            yield f, poly_deg(f)
+            return
         h = fp_pow_mod(h, p, f, p)
         g = fp_gcd(poly_sub(h, x, p), f, p)
         if poly_deg(g) > 0:
-            out.append((g, d))
+            yield g, d
             f = fp_divmod(f, g, p)[0]
             h = fp_divmod(h, f, p)[1]
-    return out
 
 
 def _fp_edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -487,21 +552,21 @@ def fp_factor(f: list[int], p: int, seed: int = 0) -> Factorization:
 
 
 def fp_is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test: f monic of degree n is irreducible over F_p."""
+    """Whether f of degree n >= 1 is irreducible over F_p.
+
+    Distinct-degree test with early abort (von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 14): f is irreducible iff the first block of the
+    distinct-degree split of monic f has degree n. This is exact for any f,
+    squarefree or not: before the first nontrivial gcd(x^(p^d) - x, f), f has
+    no irreducible factor of degree below d, and a reducible f has one of
+    degree at most n/2, which the split reaches first. A candidate with a
+    root in F_p is rejected after one Frobenius step and one gcd.
+    """
     f = fp_monic(f, p)
     n = poly_deg(f)
     if n < 1:
         return False
-    if n == 1:
-        return True
-    h = fp_pow_mod([0, 1], p**n, f, p)
-    if poly_trim(poly_sub(h, [0, 1], p)):
-        return False
-    for q in factorize(n):
-        h = fp_pow_mod([0, 1], p ** (n // q), f, p)
-        if poly_deg(fp_gcd(poly_sub(h, [0, 1], p), f, p)) != 0:
-            return False
-    return True
+    return next(_fp_ddf(f, p))[1] == n
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import collections
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -16,6 +18,7 @@ from .construct import (
     PrimePlan,
     RepairRecord,
     build_certificate,
+    local_spec_list,
 )
 from .goldbach import GoldbachTuple, two_g_eps_tuples, verify_range
 from .inertia import (
@@ -26,7 +29,13 @@ from .inertia import (
     semistable_from_reduction,
     tame_eigenvalues,
 )
-from .localtypes import FIXTURE_SEED, LocalSpec, multiplicity_profile, recognize_type
+from .localtypes import (
+    FIXTURE_SEED,
+    ConstructionError,
+    LocalSpec,
+    multiplicity_profile,
+    recognize_type,
+)
 from .verify import (
     HypothesisFlag,
     ScanRecord,
@@ -48,6 +57,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CONDITIONAL = 3
 EXIT_EXCEPTIONAL = 4
+EXIT_CONSTRUCTION = 5
 
 
 class _CliError(Exception):
@@ -307,8 +317,27 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         modulus=_parse_int(data["N"]),
         repair=repair,
     )
+    _check_class(cert)
     report = _report_from_json(data["report"], g, plan)
     return cert, report
+
+
+def _check_class(cert: Certificate) -> None:
+    """The class (N, specs, f0) must encode the plan's local conditions.
+
+    verify tests a polynomial for membership in f0 mod N and then evaluates
+    the hypotheses on it; that only speaks for the plan when the specs are
+    the plan's menu, N is the product of their moduli and f0 matches every
+    witness modulo its spec's modulus.
+    """
+    if cert.specs != tuple(local_spec_list(cert.plan)):
+        raise ValueError("the specs are not the local conditions of the plan")
+    if cert.modulus != math.prod(spec.modulus for spec in cert.specs):
+        raise ValueError("N is not the product of the spec moduli")
+    for spec, witness in zip(cert.specs, cert.witnesses):
+        pairs = itertools.zip_longest(cert.f0, witness, fillvalue=0)
+        if any((a - b) % spec.modulus for a, b in pairs):
+            raise ValueError(f"f0 does not match the witness at {spec.p} mod {spec.modulus}")
 
 
 def read_certificate(path: str) -> tuple[Certificate, VerificationReport]:
@@ -415,6 +444,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         listed = ", ".join(str(p) for p in sorted(row))
         print(f"known excluded primes for genus {args.genus}: {listed}", file=sys.stderr)
         return EXIT_EXCEPTIONAL
+    except ConstructionError as err:
+        raise _CliError(EXIT_CONSTRUCTION, f"construction failed: {err}") from err
     except ValueError as err:
         raise _CliError(EXIT_USAGE, str(err)) from err
     report = check_hypotheses(list(cert.f), cert.plan, scan_bound=scan_bound)

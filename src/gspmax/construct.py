@@ -25,7 +25,13 @@ from .arith import (
     resultant,
 )
 from .goldbach import GoldbachTuple, two_g_eps_tuples
-from .localtypes import FIXTURE_SEED, WITNESS_BUDGET, LocalSpec, witness_poly
+from .localtypes import (
+    FIXTURE_SEED,
+    WITNESS_BUDGET,
+    ConstructionError,
+    LocalSpec,
+    witness_poly,
+)
 
 PLAN_SCAN_BOUND = 10**6
 
@@ -346,7 +352,7 @@ def _clear_small_prime(f: list[int], n: int, p: int) -> tuple[int, int]:
         candidate[0] += n * w
         if not _has_triple_root(candidate, p):
             return u, w
-    raise ValueError(f"no linear adjustment clears the multiplicity-3 roots mod {p}")
+    raise ConstructionError(f"no linear adjustment clears the multiplicity-3 roots mod {p}")
 
 
 def _coprime_shift(f: list[int], p: int, g: int) -> int:
@@ -414,7 +420,7 @@ def fix_multiplicities(
                 raise RuntimeError("internal error: no coprime linear nudge found") from None
     for p in screen.found_primes:
         if n % p == 0 and p not in skip and _has_triple_root(f, p):
-            raise ValueError(f"unrepairable multiplicity-3 root at {p} dividing n")
+            raise ConstructionError(f"unrepairable multiplicity-3 root at {p} dividing n")
 
     # Shifting the constant term by z * n_tilde leaves f' and f'' alone, so
     # every prime that turns bad divides the fixed nonzero Res(f', f''). Each

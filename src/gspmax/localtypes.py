@@ -39,6 +39,10 @@ FIXTURE_SEED = -1
 WITNESS_BUDGET = 10**5
 
 
+class ConstructionError(ValueError):
+    """A construction step failed on valid input, such as a witness search."""
+
+
 @dataclass(frozen=True)
 class LocalSpec:
     """One congruence requirement: a shape for f mod p^m.
@@ -270,7 +274,7 @@ def _type_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
             cofactor = cand
             break
         else:
-            raise ValueError("no witness found")
+            raise ConstructionError("no witness found")
     out = cofactor
     for block in blocks:
         out = poly_mul(out, block)
@@ -296,7 +300,7 @@ def _double_roots_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> li
         if any(poly_eval(h, r, p) == 0 for r in range(simple)):
             continue
         return poly_reduce(poly_mul(base, poly_mul(h, h)), p * p)
-    raise ValueError("no witness found")
+    raise ConstructionError("no witness found")
 
 
 def _irreducible_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
@@ -307,7 +311,7 @@ def _irreducible_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> lis
         cand = _separable_candidate(deg, p, rng)
         if fp_is_irreducible(cand, p):
             return cand
-    raise ValueError("no witness found")
+    raise ConstructionError("no witness found")
 
 
 def _linear_times_irreducible_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
@@ -321,7 +325,7 @@ def _linear_times_irreducible_witness(spec: LocalSpec, g: int, seed: int, budget
         cand = _separable_candidate(deg - 1, p, rng)
         if fp_is_irreducible(cand, p):
             return poly_reduce(poly_mul([-root, 1], cand), p)
-    raise ValueError("no witness found")
+    raise ConstructionError("no witness found")
 
 
 def _good_reduction_2_witness(spec: LocalSpec, g: int) -> list[int]:
@@ -378,7 +382,8 @@ def witness_poly(spec: LocalSpec, g: int, seed: int = 0, budget: int = WITNESS_B
 
     Deterministic for a fixed seed. Passing seed = FIXTURE_SEED selects the
     hand-pinned genus-6 witness table (only for g = 6 and its eleven specs).
-    Raises "no witness found" if the seeded search exhausts its budget.
+    Raises ConstructionError("no witness found") if the seeded search
+    exhausts its budget.
     """
     if seed == FIXTURE_SEED:
         if g != 6 or spec.p not in _FIXTURE_G6:

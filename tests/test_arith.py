@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gspmax import arith
 from gspmax.arith import (
     crt_integers,
     factorize,
@@ -12,6 +13,7 @@ from gspmax.arith import (
     fp_gcd,
     fp_is_irreducible,
     fp_monic,
+    fp_pow_mod,
     fp_squarefree_decomposition,
     hensel_lift_factorization,
     is_prime,
@@ -391,6 +393,106 @@ def test_fp_is_irreducible_known():
     assert not fp_is_irreducible([1, 0, 1], 2)  # (x+1)^2
     assert fp_is_irreducible([1, 1], 13)
     assert not fp_is_irreducible([1], 13)
+
+
+# ---------------------------------------------------------------------------
+# the packed modular power and the early-abort irreducibility test
+
+
+def schoolbook_pow_mod(base, e, mod, p):
+    """base^e mod (mod) over F_p by unpacked square and multiply."""
+    result = [1]
+    base = fp_divmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = fp_divmod(poly_mul(result, base, p), mod, p)[1]
+        base = fp_divmod(poly_mul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+KERNEL_PRIMES = (2, 3, 99991)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(KERNEL_PRIMES),
+    st.lists(st.integers(0, 10**5), max_size=10),
+    st.lists(st.integers(0, 10**5), min_size=1, max_size=7),
+    st.integers(1, 10**5),
+    st.one_of(st.integers(0, 70), st.integers(0, 10**15)),
+)
+def test_fp_pow_mod_matches_schoolbook(p, base, mod_tail, lead, e):
+    # non-monic moduli of degree 0..7, bases of any degree including zero
+    mod = poly_reduce(mod_tail + [lead], p)
+    if not mod:
+        return
+    assert fp_pow_mod(base, e, mod, p) == schoolbook_pow_mod(base, e, mod, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_fp_pow_mod_edges(p):
+    # leading coefficient p - 1: non-monic for every p > 2
+    cubic, linear, constant = [1, 2 % p, 0, p - 1], [3 % p, p - 1], [p - 1]
+    long_base = [c % p for c in range(1, 9)]  # degree 7 >= 3
+    cases = [
+        ([5, 1], 0, cubic),
+        ([5, 1], 1, cubic),
+        ([], 0, cubic),
+        ([], 5, cubic),
+        (long_base, 1, cubic),
+        (long_base, p**3 + 2, cubic),
+        ([4, 7, 1], 10, linear),
+        ([4, 7, 1], 10, constant),
+        ([4, 7, 1], 0, constant),
+    ]
+    for base, e, mod in cases:
+        assert fp_pow_mod(base, e, mod, p) == schoolbook_pow_mod(base, e, mod, p), (base, e, mod)
+    assert fp_pow_mod([5, 1], 0, cubic, p) == [1]
+    assert fp_pow_mod([], 5, cubic, p) == []
+    assert fp_pow_mod([4, 7, 1], 10, constant, p) == []
+
+
+def test_fp_pow_mod_rejects_zero_modulus_and_negative_exponent():
+    with pytest.raises(ZeroDivisionError):
+        fp_pow_mod([1, 1], 3, [7], 7)
+    with pytest.raises(ValueError, match="negative exponent"):
+        fp_pow_mod([1, 1], -1, [1, 0, 1], 7)
+
+
+# degree 14 = 2g + 2 for g = 6: the genus-6 fixture's irreducible witness mod 23
+IRREDUCIBLE_MOD_23 = [5, 22, 1, 19, 18, 1, 16, 5, 1, 0, 0, 0, 0, 0, 1]
+
+
+def test_fp_is_irreducible_on_squares_and_repeated_roots():
+    p = 23
+    h = IRREDUCIBLE_MOD_23
+    assert fp_is_irreducible(h, p)
+    assert fp_is_irreducible([p - 3, 1], p)  # degree 1
+    assert fp_is_irreducible(poly_mul([7], h, p), p)  # not monic
+    assert not fp_is_irreducible(poly_mul(h, h, p), p)
+    square = poly_mul([p - 3, 1], [p - 3, 1], p)
+    assert not fp_is_irreducible(square, p)
+    assert not fp_is_irreducible(poly_mul(square, h, p), p)
+    assert not fp_is_irreducible([], p)
+
+
+def test_root_in_f_p_is_rejected_after_one_frobenius_step(monkeypatch):
+    calls = []
+    real = arith.fp_pow_mod
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(arith, "fp_pow_mod", counting)
+    p = 23
+    with_root = poly_mul([p - 4, 1], IRREDUCIBLE_MOD_23, p)  # root 4, degree 15
+    assert not fp_is_irreducible(with_root, p)
+    assert calls == [p]
+    calls.clear()
+    assert fp_is_irreducible(IRREDUCIBLE_MOD_23, p)
+    assert calls == [p] * 7  # one Frobenius step per d <= 14 / 2
 
 
 # ---------------------------------------------------------------------------

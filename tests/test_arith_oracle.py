@@ -1,0 +1,156 @@
+"""The F_p[x] kernel and the integer resultant against sympy.
+
+Polynomials are drawn small by hypothesis, over p = 2, 3 and a few larger
+primes, and include non-squarefree inputs and degrees 0 and 1. Fixed cases
+cover the sizes of the irreducible and linear-times-irreducible witnesses,
+degree n mod p for (n, p) = (30, 31), (62, 37) and (82, 43).
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from golden_data import F0
+from gspmax.arith import (
+    fp_factor,
+    fp_is_irreducible,
+    fp_monic,
+    poly_derivative,
+    poly_mul,
+    poly_reduce,
+    resultant,
+)
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31)
+WITNESS_SIZES = ((30, 31), (62, 37), (82, 43))
+# the first seed whose _random_poly(n, p, seed) sympy calls irreducible
+IRREDUCIBLE_SEED = {(30, 31): 23, (62, 37): 3, (82, 43): 43}
+
+
+def _sympy_poly(f: list[int], p: int | None = None):
+    if p is None:
+        return sympy.Poly(list(reversed(f)), X)
+    return sympy.Poly(list(reversed(f)), X, modulus=p)
+
+
+def _ascending(poly, p: int) -> tuple[int, ...]:
+    """Monic ascending coefficients mod p of a sympy polynomial over F_p."""
+    return tuple(fp_monic([int(c) for c in reversed(poly.all_coeffs())], p))
+
+
+def _oracle_resultant(a: list[int], b: list[int]) -> int:
+    """sympy's resultant with the larger degree first.
+
+    sympy 1.14 returns Res(b, a) for Res(a, b) when deg a < deg b, which
+    differs in sign when both degrees are odd (Res(x + 1, x^3) comes out 1,
+    while the Sylvester determinant is -1). Swapping first, with the sign
+    (-1)^(deg a * deg b), keeps the oracle on the path sympy gets right.
+    """
+    if len(a) < len(b):
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+        return sign * _oracle_resultant(b, a)
+    return int(sympy.resultant(_sympy_poly(a), _sympy_poly(b)))
+
+
+def _oracle_factors(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
+    _, factors = _sympy_poly(f, p).factor_list()
+    return sorted((_ascending(q, p), e) for q, e in factors)
+
+
+@st.composite
+def nonzero_poly_mod_p(draw):
+    """(f, p) with f = a * b^e mod p nonzero; e > 1 makes f non-squarefree."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    coeff = st.integers(0, p - 1)
+    lead = st.integers(1, p - 1)
+    a = draw(st.lists(coeff, max_size=6)) + [draw(lead)]
+    b = draw(st.lists(coeff, max_size=2)) + [draw(lead)]
+    e = draw(st.integers(1, 3))
+    f = a
+    for _ in range(e):
+        f = poly_mul(f, b)
+    return poly_reduce(f, p), p
+
+
+def _random_poly(n: int, p: int, seed: int) -> list[int]:
+    rng = random.Random(f"{n}/{p}/{seed}")
+    return [rng.randrange(p) for _ in range(n)] + [1]
+
+
+# ---------------------------------------------------------------------------
+# irreducibility
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero_poly_mod_p())
+def test_fp_is_irreducible_matches_sympy(case):
+    f, p = case
+    if len(f) == 1:
+        assert not fp_is_irreducible(f, p)  # a unit is not irreducible
+    else:
+        assert fp_is_irreducible(f, p) == _sympy_poly(f, p).is_irreducible
+
+
+@pytest.mark.parametrize("n, p", WITNESS_SIZES)
+def test_fp_is_irreducible_matches_sympy_at_witness_sizes(n, p):
+    cases = [_random_poly(n, p, seed) for seed in range(4)]
+    cases.append(_random_poly(n, p, IRREDUCIBLE_SEED[n, p]))
+    for f in cases:
+        assert fp_is_irreducible(f, p) == _sympy_poly(f, p).is_irreducible
+    assert fp_is_irreducible(cases[-1], p)
+
+
+# ---------------------------------------------------------------------------
+# factorization
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero_poly_mod_p())
+def test_fp_factor_matches_sympy(case):
+    f, p = case
+    fac = fp_factor(f, p)
+    assert fac.unit == f[-1]
+    assert sorted(fac.factors) == _oracle_factors(f, p)
+
+
+@pytest.mark.parametrize("n, p", WITNESS_SIZES)
+def test_fp_factor_matches_sympy_at_witness_sizes(n, p):
+    f = _random_poly(n, p, 0)
+    assert sorted(fp_factor(f, p).factors) == _oracle_factors(f, p)
+
+
+def test_fp_factor_matches_sympy_on_a_square_at_witness_size():
+    h = _random_poly(15, 31, 1)
+    f = poly_reduce(poly_mul(poly_mul(h, h), [3, 1]), 31)
+    assert sorted(fp_factor(f, 31).factors) == _oracle_factors(f, 31)
+
+
+# ---------------------------------------------------------------------------
+# resultants
+
+int_poly = st.lists(st.integers(-20, 20), min_size=1, max_size=7).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_poly, int_poly)
+def test_resultant_matches_sympy(a, b):
+    assert resultant(a, b) == _oracle_resultant(a, b)
+
+
+def test_resultant_matches_sympy_on_the_screen_pairs_of_f0():
+    d1 = poly_derivative(F0)
+    d2 = poly_derivative(d1)
+    for a, b in ((F0, d1), (d1, d2), (F0, d2)):
+        assert resultant(a, b) == _oracle_resultant(a, b)
+
+
+@pytest.mark.parametrize("n", [30, 62])
+def test_resultant_matches_sympy_at_witness_degrees(n):
+    rng = random.Random(n)
+    f = [rng.randint(-50, 50) for _ in range(n)] + [1]
+    d1 = poly_derivative(f)
+    assert resultant(f, d1) == _oracle_resultant(f, d1)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -42,6 +43,21 @@ def fixture_files(tmp_path_factory):
     )
     assert code == 0
     return cert, poly
+
+
+@pytest.fixture(scope="module")
+def seed0_files(tmp_path_factory):
+    """Seed-0 certificate and polynomial paths for genus 6, 8 and 10."""
+    root = tmp_path_factory.mktemp("seed0")
+    files = {}
+    for g in (6, 8, 10):
+        cert, poly = root / f"cert{g}.json", root / f"f{g}.json"
+        code = main(
+            ["construct", "--genus", str(g), "--out", str(cert), "--poly-out", str(poly)]
+        )
+        assert code == 0
+        files[g] = cert, poly
+    return files
 
 
 @pytest.fixture(autouse=True)
@@ -122,13 +138,27 @@ class TestConstructCommand:
     @pytest.mark.parametrize(
         "options, digest",
         [
-            (["--fixture"], "969a4c832ecfb04c9ca7ba7515f260c29a9a3e2637503991fa8c27b675cfb8fb"),
-            (["--seed", "0"], "343830b9139d1e5400e4b18432817b1bcd06047dacdc58b8a1eb7f3978340ff0"),
+            (
+                ["--genus", "6", "--fixture"],
+                "969a4c832ecfb04c9ca7ba7515f260c29a9a3e2637503991fa8c27b675cfb8fb",
+            ),
+            (
+                ["--genus", "6", "--seed", "0"],
+                "343830b9139d1e5400e4b18432817b1bcd06047dacdc58b8a1eb7f3978340ff0",
+            ),
+            (
+                ["--genus", "14", "--seed", "0"],
+                "59ebe49f70940e687653d1b6664d7e5e0d1b44702b4a63e0290c6624f174c0ac",
+            ),
+            (
+                ["--genus", "20", "--seed", "0"],
+                "58045096fb8bd638e0343e9260bedd94d883fb9a58e63ae5aef279735fb76d25",
+            ),
         ],
     )
     def test_certificate_file_digest_is_pinned(self, tmp_path, options, digest):
         out = tmp_path / "cert.json"
-        assert main(["construct", "--genus", "6", *options, "--out", str(out)]) == 0
+        assert main(["construct", *options, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_broken_witness_shows_as_failing_flag(self, tmp_path, monkeypatch):
@@ -146,6 +176,40 @@ class TestConstructCommand:
         statuses = {fl["name"]: fl["status"] for fl in flags}
         assert statuses.pop("S_2g+2") == "fail"
         assert set(statuses.values()) == {"pass"}
+
+    def test_exhausted_witness_search_is_construction_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real = construct.witness_poly
+
+        def starved(spec, g, **kwargs):
+            if spec.kind == "irreducible":
+                kwargs["budget"] = 0
+            return real(spec, g, **kwargs)
+
+        monkeypatch.setattr(construct, "witness_poly", starved)
+        out = tmp_path / "cert.json"
+        assert main(["construct", "--genus", "6", "--out", str(out)]) == 5
+        assert capsys.readouterr().err == "gspmax: construction failed: no witness found\n"
+        assert not out.exists()
+
+    def test_unrepairable_triple_root_is_construction_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real = construct.witness_poly
+
+        def cubed(spec, g, **kwargs):
+            if spec.kind == "irreducible":
+                return [0] * (2 * g + 2) + [1]  # x^(2g+2): one root of multiplicity 2g+2
+            return real(spec, g, **kwargs)
+
+        monkeypatch.setattr(construct, "witness_poly", cubed)
+        out = tmp_path / "cert.json"
+        assert main(["construct", "--genus", "6", "--fixture", "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            "gspmax: construction failed: unrepairable multiplicity-3 root at 23 dividing n\n"
+        )
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, fixture_files, tmp_path):
         cert_path, _ = fixture_files
@@ -413,3 +477,62 @@ class TestCertificateRoundTrip:
         other.write_text(json.dumps(data))
         assert main(["verify", "--poly", str(poly_path), "--cert", str(other)]) == 2
         assert "malformed certificate file" in capsys.readouterr().err
+
+
+class TestCertifiedClass:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("N", "0", "N is not the product of the spec moduli"),
+            ("N", "-5", "N is not the product of the spec moduli"),
+            ("N", "1", "N is not the product of the spec moduli"),
+            ("specs", [], "the specs are not the local conditions of the plan"),
+        ],
+    )
+    def test_class_that_misses_the_plan_is_usage_error(
+        self, seed0_files, tmp_path, capsys, field, value, message
+    ):
+        cert_path, poly_path = seed0_files[6]
+        data = json.loads(cert_path.read_text())
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"gspmax: malformed certificate file {bad}: {message}\n"
+        assert captured.out == ""
+
+    def test_altered_witness_is_usage_error(self, seed0_files, tmp_path, capsys):
+        cert_path, poly_path = seed0_files[6]
+        data = json.loads(cert_path.read_text())
+        entry = data["specs"][0]
+        entry["witness"][0] = str(int(entry["witness"][0]) + 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
+        modulus = entry["modulus"]
+        assert capsys.readouterr().err == (
+            f"gspmax: malformed certificate file {bad}: "
+            f"f0 does not match the witness at {entry['prime']} mod {modulus}\n"
+        )
+
+    def test_constructed_certificates_and_class_members_still_verify(
+        self, fixture_files, seed0_files, tmp_path, capsys
+    ):
+        cert_path, poly_path = fixture_files
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 0
+        # members f + N*h as drawn by the verify-class benchmark workload; all
+        # exit 0 at the commit before the class checks were added
+        rng = random.Random("class-members")
+        for g, count in ((6, 3), (8, 1), (10, 1)):
+            cert_path, poly_path = seed0_files[g]
+            assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 0
+            data = json.loads(cert_path.read_text())
+            f = [int(c) for c in data["repair"]["f"]]
+            n = int(data["N"])
+            for _ in range(count):
+                h = [rng.randrange(n) for _ in range(2 * g + 2)]
+                member = tmp_path / "member.json"
+                _write_poly(member, [a + n * b for a, b in zip(f, h + [0])])
+                assert main(["verify", "--poly", str(member), "--cert", str(cert_path)]) == 0
+        assert "malformed" not in capsys.readouterr().err
