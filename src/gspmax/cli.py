@@ -32,7 +32,6 @@ from .inertia import (
 from .localtypes import (
     FIXTURE_SEED,
     ConstructionError,
-    LocalSpec,
     multiplicity_profile,
     recognize_type,
 )
@@ -87,7 +86,7 @@ def _read_json(path: str) -> object:
             return json.load(handle)
     except OSError as err:
         raise _CliError(EXIT_USAGE, f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also bad UTF-8 and numbers past the int digit limit
         raise _CliError(EXIT_USAGE, f"{path} is not valid JSON: {err}") from err
 
 
@@ -119,7 +118,7 @@ def read_poly_file(path: str) -> list[int]:
     if len(coeffs) != degree + 1:
         raise _CliError(
             EXIT_USAGE,
-            f"malformed polynomial file {path}: expected {degree + 1} coefficients",
+            f"malformed polynomial file {path}: {len(coeffs)} coefficients for degree {degree}",
         )
     if not coeffs or coeffs[-1] != 1:
         raise _CliError(
@@ -257,10 +256,22 @@ def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
 
 
 def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
-    """Rebuild the certificate and report objects from their JSON form."""
+    """Rebuild the certificate and report objects from their JSON form.
+
+    verify tests a polynomial for membership in f0 mod N and then evaluates
+    the hypotheses on it; that only speaks for the plan when the specs are
+    the plan's menu (local_spec_list), N is the product of their moduli and
+    f0 matches every witness modulo its spec's modulus, so all three are
+    checked. The length of f0 bounds the genus, and each entry is compared
+    with the menu before any modulus is computed, so the work is bounded by
+    the size of the file.
+    """
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
     g = _parse_int(data["genus"])
+    f0 = tuple(_parse_int(c) for c in data["f0"])
+    if len(f0) != 2 * g + 3:
+        raise ValueError("f0 must have 2g + 3 coefficients")
     t = data["tuple"]
     tup = GoldbachTuple(
         g=g,
@@ -277,21 +288,32 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
             "p_t", "p_t_prime", "p_2", "p_2_prime", "p_3", "p_3_prime", "p_irr", "p_lin"
         )},
     )
-    specs = []
+    specs = local_spec_list(plan)
+    entries = data["specs"]
+    if len(entries) != len(specs):
+        raise ValueError("the specs are not the local conditions of the plan")
     witnesses = []
-    for entry in data["specs"]:
-        spec = LocalSpec(
-            p=_parse_int(entry["prime"]),
-            kind=entry["kind"],
-            m=_parse_int(entry["m"]),
-            t=None if entry.get("t") is None else _parse_int(entry["t"]),
-            qs=tuple(_parse_int(q) for q in entry.get("qs") or ()),
-            count=None if entry.get("count") is None else _parse_int(entry["count"]),
+    for entry, spec in zip(entries, specs):
+        fields = (
+            _parse_int(entry["prime"]),
+            entry["kind"],
+            _parse_int(entry["m"]),
+            None if entry.get("t") is None else _parse_int(entry["t"]),
+            tuple(_parse_int(q) for q in entry.get("qs") or ()),
+            None if entry.get("count") is None else _parse_int(entry["count"]),
         )
+        if fields != (spec.p, spec.kind, spec.m, spec.t, spec.qs, spec.count):
+            raise ValueError("the specs are not the local conditions of the plan")
         if str(spec.modulus) != entry["modulus"]:
             raise ValueError(f"modulus mismatch in the witness entry at {spec.p}")
-        specs.append(spec)
-        witnesses.append(tuple(_parse_int(c) for c in entry["witness"]))
+        witness = tuple(_parse_int(c) for c in entry["witness"])
+        pairs = itertools.zip_longest(f0, witness, fillvalue=0)
+        if any((a - b) % spec.modulus for a, b in pairs):
+            raise ValueError(f"f0 does not match the witness at {spec.p} mod {spec.modulus}")
+        witnesses.append(witness)
+    modulus = _parse_int(data["N"])
+    if modulus != math.prod(spec.modulus for spec in specs):
+        raise ValueError("N is not the product of the spec moduli")
     rd = data["repair"]
     repair = RepairRecord(
         f=tuple(_parse_int(c) for c in rd["f"]),
@@ -313,31 +335,12 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         plan=plan,
         specs=tuple(specs),
         witnesses=tuple(witnesses),
-        f0=tuple(_parse_int(c) for c in data["f0"]),
-        modulus=_parse_int(data["N"]),
+        f0=f0,
+        modulus=modulus,
         repair=repair,
     )
-    _check_class(cert)
     report = _report_from_json(data["report"], g, plan)
     return cert, report
-
-
-def _check_class(cert: Certificate) -> None:
-    """The class (N, specs, f0) must encode the plan's local conditions.
-
-    verify tests a polynomial for membership in f0 mod N and then evaluates
-    the hypotheses on it; that only speaks for the plan when the specs are
-    the plan's menu, N is the product of their moduli and f0 matches every
-    witness modulo its spec's modulus.
-    """
-    if cert.specs != tuple(local_spec_list(cert.plan)):
-        raise ValueError("the specs are not the local conditions of the plan")
-    if cert.modulus != math.prod(spec.modulus for spec in cert.specs):
-        raise ValueError("N is not the product of the spec moduli")
-    for spec, witness in zip(cert.specs, cert.witnesses):
-        pairs = itertools.zip_longest(cert.f0, witness, fillvalue=0)
-        if any((a - b) % spec.modulus for a, b in pairs):
-            raise ValueError(f"f0 does not match the witness at {spec.p} mod {spec.modulus}")
 
 
 def read_certificate(path: str) -> tuple[Certificate, VerificationReport]:

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 from .arith import (
     crt_integers,
-    fp_gcd,
     is_prime,
     is_primitive_root,
     poly_deg,
     poly_derivative,
-    poly_reduce,
     poly_trim,
     primes_up_to,
     resultant,
@@ -30,12 +28,30 @@ from .localtypes import (
     WITNESS_BUDGET,
     ConstructionError,
     LocalSpec,
+    multiplicity_profile,
     witness_poly,
 )
 
 PLAN_SCAN_BOUND = 10**6
 
 DEFAULT_SCAN_BOUND = 10**5
+
+# The tuple primes mod which each block-pattern prime must be a primitive
+# root, keyed by its PrimePlan field, in the order plan_primes fills them.
+GENERATORS = {
+    "p_2": ("q1", "q2", "q3"),
+    "p_3": ("q3",),
+    "p_2_prime": ("q3", "q4", "q5"),
+    "p_3_prime": ("q5",),
+}
+
+# The block-pattern primes that must also be 1 mod 3.
+ONE_MOD_3 = ("p_2", "p_3")
+
+
+def generator_moduli(tup: GoldbachTuple, slot: str) -> tuple[int, ...]:
+    """The primes mod which the block-pattern prime in this plan field must be a generator."""
+    return tuple(getattr(tup, q) for q in GENERATORS[slot])
 
 
 class ExceptionalGenusError(ValueError):
@@ -64,9 +80,10 @@ class PrimePlan:
 
     p_t and p_t_prime force transvections, the four large primes force the
     block patterns tied to the prime tuple, and p_irr / p_lin force an
-    irreducible and a linear-times-irreducible reduction. Validity of all
-    size, distinctness, and multiplicative-order constraints is checked on
-    creation.
+    irreducible and a linear-times-irreducible reduction. Creation checks
+    that the primes are distinct and avoid 2 and the primes <= g, that the
+    block-pattern primes exceed 2g + 2, and that each one is a primitive
+    root mod its GENERATORS and, for ONE_MOD_3, is 1 mod 3.
     """
 
     g: int
@@ -90,30 +107,17 @@ class PrimePlan:
                 raise ValueError(f"{p} is not prime")
         if len(set(primes)) != 8:
             raise ValueError("plan primes must be pairwise distinct")
-        reserved = {2} | {p for p in primes_up_to(g) if p % 2 == 1}
-        if any(p in reserved for p in primes):
+        if any(p == 2 or p <= g for p in primes):
             raise ValueError("plan primes must avoid 2 and the odd primes <= g")
-        if not (self.p_t > g and self.p_t_prime > g):
-            raise ValueError("transvection primes must exceed the genus")
-        bound = 2 * g + 2
-        for p in (self.p_2, self.p_2_prime, self.p_3, self.p_3_prime):
-            if p <= bound:
+        for slot in GENERATORS:
+            p = getattr(self, slot)
+            if p <= 2 * g + 2:
                 raise ValueError("block-pattern primes must exceed 2g + 2")
-        conditions = [
-            (self.p_2, tup.q1),
-            (self.p_2, tup.q2),
-            (self.p_2, tup.q3),
-            (self.p_3, tup.q3),
-            (self.p_2_prime, tup.q3),
-            (self.p_2_prime, tup.q4),
-            (self.p_2_prime, tup.q5),
-            (self.p_3_prime, tup.q5),
-        ]
-        for p, q in conditions:
-            if not is_primitive_root(p, q):
-                raise ValueError(f"{p} is not a primitive root mod {q}")
-        if self.p_2 % 3 != 1 or self.p_3 % 3 != 1:
-            raise ValueError("p_2 and p_3 must be 1 mod 3")
+            for q in generator_moduli(tup, slot):
+                if not is_primitive_root(p, q):
+                    raise ValueError(f"{p} is not a primitive root mod {q}")
+        if any(getattr(self, slot) % 3 != 1 for slot in ONE_MOD_3):
+            raise ValueError(f"{' and '.join(ONE_MOD_3)} must be 1 mod 3")
 
     @property
     def all_primes(self) -> tuple[int, ...]:
@@ -147,53 +151,42 @@ def _scan_prime(lower: int, used: set[int], ok) -> int:
 def plan_primes(g: int, tup: GoldbachTuple, seed: int = 0) -> PrimePlan:
     """Choose the eight auxiliary primes for a genus and its prime tuple.
 
-    The scan is deterministic: each slot takes the smallest prime meeting its
-    constraints, in the order p_t, p_t', p_2, p_3, p_2', p_3', p_irr, p_lin,
-    skipping 2, the odd primes <= g, and primes already assigned. The seed
-    only selects the frozen reference plan (available for genus 6).
+    The scan is deterministic: each slot takes the smallest prime above g
+    meeting its constraints, in the order p_t, p_t', then the GENERATORS
+    slots p_2, p_3, p_2', p_3' (above 2g + 2), then p_irr, p_lin, skipping 2
+    and primes already assigned. The seed only selects the frozen reference
+    plan (available for genus 6).
     """
     if seed == FIXTURE_SEED:
         if g != 6 or tup.qs != (7, 7, 3, 11, 13):
             raise ValueError("no reference plan for this genus and tuple")
         return _fixture_plan_g6(tup)
-    used = {2} | {p for p in primes_up_to(g) if p % 2 == 1}
+    used = {2}
 
     def take(lower: int, ok=lambda n: True) -> int:
         p = _scan_prime(lower, used, ok)
         used.add(p)
         return p
 
-    big = 2 * g + 2
+    def block_prime(slot: str) -> int:
+        moduli = generator_moduli(tup, slot)
+        return take(
+            2 * g + 2,
+            lambda n: (slot not in ONE_MOD_3 or n % 3 == 1)
+            and all(is_primitive_root(n, q) for q in moduli),
+        )
+
     p_t = take(g)
     p_t_prime = take(g)
-    p_2 = take(
-        big,
-        lambda n: n % 3 == 1
-        and is_primitive_root(n, tup.q1)
-        and is_primitive_root(n, tup.q2)
-        and is_primitive_root(n, tup.q3),
-    )
-    p_3 = take(big, lambda n: n % 3 == 1 and is_primitive_root(n, tup.q3))
-    p_2_prime = take(
-        big,
-        lambda n: is_primitive_root(n, tup.q3)
-        and is_primitive_root(n, tup.q4)
-        and is_primitive_root(n, tup.q5),
-    )
-    p_3_prime = take(big, lambda n: is_primitive_root(n, tup.q5))
-    p_irr = take(2)
-    p_lin = take(2)
+    blocks = {slot: block_prime(slot) for slot in GENERATORS}
     return PrimePlan(
         g=g,
         prime_tuple=tup,
         p_t=p_t,
         p_t_prime=p_t_prime,
-        p_2=p_2,
-        p_2_prime=p_2_prime,
-        p_3=p_3,
-        p_3_prime=p_3_prime,
-        p_irr=p_irr,
-        p_lin=p_lin,
+        **blocks,
+        p_irr=take(g),
+        p_lin=take(g),
     )
 
 
@@ -335,40 +328,33 @@ class RepairRecord:
     status: str
 
 
-def _has_triple_root(f: list[int], p: int) -> bool:
-    """True iff f mod p has a root of multiplicity >= 3 over the closure."""
-    fp = poly_trim(poly_reduce(f, p))
-    d1 = poly_trim(poly_derivative(fp, p))
-    d2 = poly_trim(poly_derivative(d1, p))
-    common = fp_gcd(fp_gcd(fp, d1, p), d2, p)
-    return poly_deg(common) >= 1
-
-
 def _clear_small_prime(f: list[int], n: int, p: int) -> tuple[int, int]:
     """(u, w) in F_p x F_p such that f + n*(u*x + w) loses its triple roots mod p."""
     for u, w in itertools.product(range(p), repeat=2):
         candidate = list(f)
         candidate[1] += n * u
         candidate[0] += n * w
-        if not _has_triple_root(candidate, p):
+        if max(multiplicity_profile(candidate, p)) < 3:
             return u, w
     raise ConstructionError(f"no linear adjustment clears the multiplicity-3 roots mod {p}")
 
 
-def _coprime_shift(f: list[int], p: int, g: int) -> int:
-    """Smallest c in F_p with f + c coprime to f'' mod p.
+def _clearing_shift(f: list[int], p: int, g: int) -> int:
+    """Smallest c in F_p such that f + c has no triple root mod p.
 
-    The second derivative has at most 2g roots, so at most 2g residues are
-    forbidden and a valid c exists among the first 2g + 1 candidates.
+    A triple root of f + c is a common root of f + c and f''. When f'' is
+    nonzero mod p it has at most 2g roots, so at most 2g residues c are
+    forbidden and, for p > 2g, a valid c is among the first 2g + 1. When
+    f'' = 0 mod p and p = 2g + 1 > 2, f = x^(p+1) + a*x^p + b*x + d mod p,
+    so f' = (x + b)^p and only c = -f(-b) leaves a repeated root. Only
+    p = 2 (reachable for g = 1) can leave every shift with a triple root.
     """
-    fp = poly_trim(poly_reduce(f, p))
-    d2 = poly_trim(poly_derivative(poly_derivative(fp, p), p))
     for c in range(min(p, 2 * g + 2)):
-        shifted = list(fp)
-        shifted[0] = (shifted[0] + c) % p
-        if poly_deg(fp_gcd(shifted, d2, p)) == 0:
+        shifted = list(f)
+        shifted[0] += c
+        if max(multiplicity_profile(shifted, p)) < 3:
             return c
-    raise RuntimeError(f"internal error: no coprime constant shift mod {p}")
+    raise ConstructionError(f"no constant shift clears the multiplicity-3 roots mod {p}")
 
 
 def fix_multiplicities(
@@ -384,7 +370,11 @@ def fix_multiplicities(
     found candidate prime outside the exceptions, while f stays congruent to
     f0 mod n. The exceptions must divide n; primes dividing n but not listed
     are required to be clean already, since no shift by a multiple of n can
-    change f modulo them.
+    change f modulo them. A triple root is a root of multiplicity >= 3 in
+    multiplicity_profile, the test of verify's ss flag.
+
+    Raises ConstructionError when a triple root sits at an unlisted prime
+    dividing n, or when no linear or constant shift clears one.
     """
     deg = 2 * g + 2
     f = list(f0)
@@ -398,7 +388,7 @@ def fix_multiplicities(
 
     small = [p for p in primes_up_to(2 * g - 1) if n % p != 0]
     pre_fixes = [
-        (p, *_clear_small_prime(f, n, p)) for p in small if _has_triple_root(f, p)
+        (p, *_clear_small_prime(f, n, p)) for p in small if max(multiplicity_profile(f, p)) >= 3
     ]
     if pre_fixes:
         u = crt_integers([(u_p, p) for p, u_p, _ in pre_fixes])
@@ -406,6 +396,8 @@ def fix_multiplicities(
         f[1] += n * u
         f[0] += n * w
 
+    # Res(f' + c, f'') is a polynomial in c of degree 2g with a nonzero
+    # leading coefficient, so one of the first 2g + 1 nudges makes it nonzero.
     n_tilde = n * math.prod(small)
     skip = set(exceptions) | {2}
     nudges = 0
@@ -416,28 +408,27 @@ def fix_multiplicities(
         except ValueError:
             f[1] += n_tilde
             nudges += 1
-            if nudges > 2 * g + 1:
-                raise RuntimeError("internal error: no coprime linear nudge found") from None
     for p in screen.found_primes:
-        if n % p == 0 and p not in skip and _has_triple_root(f, p):
+        if n % p == 0 and p not in skip and max(multiplicity_profile(f, p)) >= 3:
             raise ConstructionError(f"unrepairable multiplicity-3 root at {p} dividing n")
 
     # Shifting the constant term by z * n_tilde leaves f' and f'' alone, so
     # every prime that turns bad divides the fixed nonzero Res(f', f''). Each
-    # round pins one more of those primes clean, so the loop ends.
+    # round pins one more of those primes clean (z = c / n_tilde mod p keeps
+    # f + c there), so the loop ends. Every prime <= 2g - 1 divides n_tilde,
+    # so a bad prime exceeds 2g, or is 2 when g = 1.
     constrained: dict[int, int] = {}
     z = 0
     shifted = f
     while True:
-        bad = [p for p in screen.found_primes if n_tilde % p and _has_triple_root(shifted, p)]
+        bad = [
+            p for p in screen.found_primes
+            if n_tilde % p and max(multiplicity_profile(shifted, p)) >= 3
+        ]
         if not bad:
             break
         for p in bad:
-            if p in constrained:
-                raise RuntimeError(f"internal error: repair left a triple root mod {p}")
-            if p <= 2 * g:
-                raise RuntimeError(f"internal error: {p} <= 2g should divide n_tilde")
-            constrained[p] = _coprime_shift(f, p, g)
+            constrained[p] = _clearing_shift(f, p, g)
         z = crt_integers(
             [((c * pow(n_tilde, -1, p)) % p, p) for p, c in constrained.items()]
         )

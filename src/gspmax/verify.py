@@ -13,16 +13,22 @@ from dataclasses import dataclass
 from .arith import (
     fp_factor,
     fp_is_irreducible,
-    is_prime,
     poly_deg,
     poly_derivative,
     poly_reduce,
     poly_trim,
     resultant,
 )
-from .construct import DEFAULT_SCAN_BOUND, PrimePlan, screen_triple_roots
+from .construct import (
+    DEFAULT_SCAN_BOUND,
+    ONE_MOD_3,
+    PrimePlan,
+    generator_moduli,
+    local_spec_list,
+    screen_triple_roots,
+)
 from .inertia import is_totally_toric
-from .localtypes import good_reduction_at_2, multiplicity_profile, recognize_type
+from .localtypes import LocalSpec, good_reduction_at_2, multiplicity_profile, recognize_type
 
 FLAG_NAMES = ("2G+eps", "2T", "TT", "p2", "p3", "p2'", "p3'", "3", "S_2g+2", "ss")
 
@@ -120,30 +126,13 @@ def excluded_primes_exceptional(g: int) -> set[int]:
     return set(EXCEPTIONAL_EXCLUDED[g])
 
 
-def _type_at(f: list[int], p: int, t: int, qs: tuple[int, ...]) -> bool:
-    return recognize_type(f, p, t, list(qs)) is not None
+# The plan field whose type spec each block-pattern flag evaluates.
+_BLOCK_FLAGS = (("p2", "p_2"), ("p3", "p_3"), ("p2'", "p_2_prime"), ("p3'", "p_3_prime"))
 
 
-def _block_flag(
-    name: str,
-    f: list[int],
-    p: int,
-    t: int,
-    qs: tuple[int, ...],
-    roots_mod: tuple[int, ...],
-) -> HypothesisFlag:
-    """Flag for one planned block pattern.
-
-    Only the type is checked on f: p > 2g + 2 and the primitive roots mod
-    roots_mod hold for every PrimePlan, which rejects plans without them.
-    """
-    typed = _type_at(f, p, t, qs)
-    blocks = ",".join(str(q) for q in qs)
-    detail = (
-        f"type {t}-{{{blocks}}} at {p}: {'yes' if typed else 'no'}; "
-        f"generator mod {', '.join(str(q) for q in roots_mod)}: yes"
-    )
-    return HypothesisFlag(name, "pass" if typed else "fail", detail)
+def _type_text(spec: LocalSpec, typed: bool) -> str:
+    blocks = ",".join(str(q) for q in spec.qs)
+    return f"type {spec.t}-{{{blocks}}} at {spec.p}: {'yes' if typed else 'no'}"
 
 
 def check_hypotheses(
@@ -154,19 +143,33 @@ def check_hypotheses(
     A flag reads "pass" only when this checker can certify the hypothesis;
     "fail" means not certified. The semistability flag is "conditional" when
     all located candidate primes are clean but a composite cofactor of the
-    triple-root screen's gcd remains above the scan bound. The parts of a
-    flag that depend on the plan alone (the tuple, distinct transvection
+    triple-root screen's gcd remains above the scan bound. The local
+    conditions come from the plan's menu, local_spec_list: 2T and the block
+    flags evaluate its type specs, TT its double_roots primes. The parts of
+    a flag that depend on the plan alone (the tuple, distinct transvection
     primes above g, sizes, primitive roots, residues mod 3) are validated
     when the PrimePlan is created and only described here.
+
+    Raises ValueError unless f is monic of degree 2g + 2 and squarefree.
+    Squarefreeness is taken from the S_2g+2 test when f is irreducible mod
+    p_irr (so squarefree mod p_irr, and disc(f) != 0 as f is monic); only
+    otherwise is the discriminant Res(f, f') computed.
     """
     g = plan.g
     deg = 2 * g + 2
     f = list(f)
     if poly_deg(poly_trim(f)) != deg or f[-1] != 1:
         raise ValueError("f must be monic of degree 2g + 2")
-    if resultant(f, poly_derivative(f)) == 0:
+    irreducible = fp_is_irreducible(poly_reduce(f, plan.p_irr), plan.p_irr)
+    if not irreducible and resultant(f, poly_derivative(f)) == 0:
         raise ValueError("f must be squarefree")
     tup = plan.prime_tuple
+    specs = local_spec_list(plan)
+    type_specs = {spec.p: spec for spec in specs if spec.kind == "type"}
+    typed = {
+        p: recognize_type(f, p, spec.t, list(spec.qs)) is not None
+        for p, spec in type_specs.items()
+    }
 
     flag_tuple = HypothesisFlag(
         "2G+eps",
@@ -174,17 +177,19 @@ def check_hypotheses(
         f"{deg} = {tup.q1}+{tup.q2} = {tup.q4}+{tup.q5}, q3 = {tup.q3}",
     )
 
-    t_at = _type_at(f, plan.p_t, 1, (2,))
-    t_at_prime = _type_at(f, plan.p_t_prime, 1, (2,))
+    t_at, t_at_prime = typed[plan.p_t], typed[plan.p_t_prime]
     flag_2t = HypothesisFlag(
         "2T",
         "pass" if t_at and t_at_prime else "fail",
-        f"type 1-{{2}} at {plan.p_t}: {'yes' if t_at else 'no'}; "
+        f"{_type_text(type_specs[plan.p_t], t_at)}; "
         f"at {plan.p_t_prime}: {'yes' if t_at_prime else 'no'}",
     )
 
-    small_odd = [ell for ell in range(3, g + 1, 2) if is_prime(ell)]
-    toric = {ell: is_totally_toric(f, ell, g) for ell in small_odd}
+    toric = {
+        spec.p: is_totally_toric(f, spec.p, g)
+        for spec in specs
+        if spec.kind == "double_roots"
+    }
     flag_tt = HypothesisFlag(
         "TT",
         "pass" if all(toric.values()) else "fail",
@@ -195,16 +200,20 @@ def check_hypotheses(
         or "no odd primes <= g",
     )
 
-    flag_p2 = _block_flag("p2", f, plan.p_2, 1, (tup.q1, tup.q2), (tup.q1, tup.q2, tup.q3))
-    flag_p3 = _block_flag("p3", f, plan.p_3, 2, (tup.q3,), (tup.q3,))
-    flag_p2p = _block_flag(
-        "p2'", f, plan.p_2_prime, 1, (tup.q4, tup.q5), (tup.q3, tup.q4, tup.q5)
+    block_flags = {}
+    for name, slot in _BLOCK_FLAGS:
+        p = getattr(plan, slot)
+        moduli = ", ".join(str(q) for q in generator_moduli(tup, slot))
+        block_flags[name] = HypothesisFlag(
+            name,
+            "pass" if typed[p] else "fail",
+            f"{_type_text(type_specs[p], typed[p])}; generator mod {moduli}: yes",
+        )
+
+    flag_3 = HypothesisFlag(
+        "3", "pass", ", ".join(f"{getattr(plan, slot)} = 1 mod 3" for slot in ONE_MOD_3)
     )
-    flag_p3p = _block_flag("p3'", f, plan.p_3_prime, 2, (tup.q5,), (tup.q5,))
 
-    flag_3 = HypothesisFlag("3", "pass", f"{plan.p_2} = 1 mod 3, {plan.p_3} = 1 mod 3")
-
-    irreducible = fp_is_irreducible(poly_reduce(f, plan.p_irr), plan.p_irr)
     lin_fac = fp_factor(poly_reduce(f, plan.p_lin), plan.p_lin)
     lin_shape = sorted(len(poly) - 1 for poly, _ in lin_fac.factors) == [
         1,
@@ -258,21 +267,8 @@ def check_hypotheses(
         detail = "triple-root screen unavailable: derivatives share a root"
     flag_ss = HypothesisFlag("ss", status, detail)
 
-    flags = (
-        flag_tuple,
-        flag_2t,
-        flag_tt,
-        flag_p2,
-        flag_p3,
-        flag_p2p,
-        flag_p3p,
-        flag_3,
-        flag_s,
-        flag_ss,
-    )
-    admissible_derived = all(
-        fl.ok for fl in (flag_p2, flag_p3, flag_p2p, flag_p3p, flag_ss)
-    )
+    flags = (flag_tuple, flag_2t, flag_tt, *block_flags.values(), flag_3, flag_s, flag_ss)
+    admissible_derived = all(fl.ok for fl in (*block_flags.values(), flag_ss))
     stray_partial = [
         (p, m)
         for p, m in scan.bad_primes
@@ -282,7 +278,8 @@ def check_hypotheses(
         good_2
         and scan.residual_cofactor != 0
         and all(
-            (p == plan.p_2_prime and flag_p2p.ok) or (p == plan.p_3_prime and flag_p3p.ok)
+            (p == plan.p_2_prime and block_flags["p2'"].ok)
+            or (p == plan.p_3_prime and block_flags["p3'"].ok)
             for p, _ in stray_partial
         )
     )

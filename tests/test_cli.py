@@ -1,10 +1,15 @@
 """Tests for the command-line interface, file formats, and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+import tempfile
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from golden_data import F0, N, PLAN_G6
 from gspmax import construct, goldbach
@@ -375,6 +380,24 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err == f"gspmax: malformed polynomial file {bad}: not a JSON object\n"
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"degree": ' + b"9" * 4301 + b"}", b'{"degree": "\xff"}'],
+        ids=["oversized-number", "invalid-utf8"],
+    )
+    def test_unparseable_bytes_are_usage_errors(self, fixture_files, tmp_path, capsys, content):
+        # a number past the int digit limit and invalid UTF-8 both raise
+        # ValueError, not JSONDecodeError, inside json.load
+        cert_path, poly_path = fixture_files
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for argv in (["--poly", str(bad), "--cert", str(cert_path)],
+                     ["--poly", str(poly_path), "--cert", str(bad)]):
+            assert main(["verify", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"gspmax: {bad} is not valid JSON: ")
+            assert err.count("\n") == 1
+
     def test_non_object_spec_entry_is_usage_error(self, fixture_files, tmp_path, capsys):
         cert_path, poly_path = fixture_files
         data = json.loads(cert_path.read_text())
@@ -487,6 +510,8 @@ class TestCertifiedClass:
             ("N", "-5", "N is not the product of the spec moduli"),
             ("N", "1", "N is not the product of the spec moduli"),
             ("specs", [], "the specs are not the local conditions of the plan"),
+            ("genus", "100000000000", "f0 must have 2g + 3 coefficients"),
+            ("f0", ["1"], "f0 must have 2g + 3 coefficients"),
         ],
     )
     def test_class_that_misses_the_plan_is_usage_error(
@@ -501,6 +526,28 @@ class TestCertifiedClass:
         captured = capsys.readouterr()
         assert captured.err == f"gspmax: malformed certificate file {bad}: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [("good_reduction_2", {"m": 10**11}), ("type", {"t": 10**11, "m": 10**11 + 1})],
+    )
+    def test_huge_exponent_is_rejected_before_any_power(
+        self, fixture_files, tmp_path, capsys, kind, fields
+    ):
+        # p ** m for these entries would not finish; the menu comparison
+        # rejects them first
+        cert_path, poly_path = fixture_files
+        data = json.loads(cert_path.read_text())
+        next(e for e in data["specs"] if e["kind"] == kind).update(fields)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"gspmax: malformed certificate file {bad}: "
+            "the specs are not the local conditions of the plan\n"
+        )
 
     def test_altered_witness_is_usage_error(self, seed0_files, tmp_path, capsys):
         cert_path, poly_path = seed0_files[6]
@@ -536,3 +583,67 @@ class TestCertifiedClass:
                 _write_poly(member, [a + n * b for a, b in zip(f, h + [0])])
                 assert main(["verify", "--poly", str(member), "--cert", str(cert_path)]) == 0
         assert "malformed" not in capsys.readouterr().err
+
+
+_DROP = object()
+_REPLACEMENTS = [_DROP, 0, -5, 10**11, "100000000000", "9" * 4300, "x", None, 1.5, True, [], {}]
+
+# (file, key path) pairs to mutate; -1 is the last item of a list, so
+# ("specs", -1) is the 2-adic entry and dropping ("f0", -1) shortens f0
+_TARGETS = (
+    [("poly", ()), ("poly", ("degree",)), ("poly", ("coeffs",)), ("poly", ("coeffs", -1))]
+    + [("cert", path) for path in [
+        (), ("schema",), ("genus",), ("N",), ("f0",), ("f0", -1), ("specs",), ("specs", 0),
+        ("tuple",), ("tuple", "q3"), ("plan",), ("plan", "p_2"), ("plan", "p_irr"),
+        ("repair",), ("repair", "f"), ("repair", "z"), ("report",), ("report", "flags"),
+    ]]
+    + [
+        ("cert", ("specs", i, key))
+        for i in (0, 2, -1)
+        for key in ("prime", "kind", "m", "t", "qs", "count", "modulus", "witness")
+    ]
+)
+
+
+def _mutated_text(data, path, replacement) -> str:
+    """The JSON text of data with the value at path dropped or replaced."""
+    if not path:
+        return "" if replacement is _DROP else json.dumps(replacement)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return json.dumps(data)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(_TARGETS), st.sampled_from(_REPLACEMENTS))
+    @example(("cert", ("specs", -1, "m")), 10**11)
+    @example(("cert", ("genus",)), 10**11)
+    @example(("cert", ("N",)), 0)
+    @example(("cert", ("specs",)), "x")
+    @example(("poly", ("degree",)), "9" * 4300)
+    def test_mutated_files_end_in_an_exit_code_and_one_line(
+        self, fixture_files, target, replacement
+    ):
+        which, path = target
+        texts = dict(zip(("cert", "poly"), (p.read_text() for p in fixture_files)))
+        texts[which] = _mutated_text(json.loads(texts[which]), path, replacement)
+        with tempfile.TemporaryDirectory() as root:
+            argv = ["verify"]
+            for name, text in texts.items():
+                file_path = f"{root}/{name}.json"
+                with open(file_path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                argv += [f"--{name}", file_path]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert 0 <= code <= 5
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1
+        assert all(line.startswith("gspmax: ") for line in lines)

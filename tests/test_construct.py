@@ -18,7 +18,13 @@ from gspmax.construct import (
     screen_triple_roots,
 )
 from gspmax.goldbach import GoldbachTuple, two_g_eps_tuples
-from gspmax.localtypes import FIXTURE_SEED, LocalSpec, multiplicity_profile, witness_poly
+from gspmax.localtypes import (
+    FIXTURE_SEED,
+    ConstructionError,
+    LocalSpec,
+    multiplicity_profile,
+    witness_poly,
+)
 
 
 def _tuple_g6() -> GoldbachTuple:
@@ -277,6 +283,33 @@ class TestFixMultiplicities:
         assert len(f_test) == 15
         with pytest.raises(ValueError, match="dividing n"):
             fix_multiplicities(f_test, n, 6, scan_bound=10**3)
+
+    def test_double_root_mod_2_needs_no_pre_stage(self):
+        # n is odd, so 2 is a small prime outside n; (x + 1)^2 (x^12 + x + 1)
+        # has a double but no triple root mod 2, where f'' = 0 identically
+        n = 9 * 25 * 121
+        f_test = poly_mul([1, 2, 1], [1, 1] + [0] * 10 + [1])
+        assert max(multiplicity_profile(f_test, 2)) == 2
+        rec = fix_multiplicities(f_test, n, 6, scan_bound=10**3)
+        assert rec.pre_stage == ()
+        assert list(rec.f) == f_test
+
+    def test_vanishing_second_derivative_is_repaired(self):
+        # g = 2, p = 5 = 2g + 1: x^6 + x^5 + 5x^2 = x^5 (x + 1) mod 5 has
+        # f'' = 0 mod 5; a constant shift by 1 leaves it squarefree there
+        f_test = [0, 0, 5, 0, 0, 1, 1]
+        assert max(multiplicity_profile(f_test, 5)) == 5
+        rec = fix_multiplicities(f_test, 1, 2)
+        assert rec.pre_stage == ()
+        assert rec.repaired_primes == (5,)
+        assert rec.f[0] % 5 == 1 and rec.f[1:] == tuple(f_test[1:])
+        assert max(multiplicity_profile(list(rec.f), 5)) <= 2
+
+    def test_unclearable_triple_root_mod_2_is_construction_failure(self):
+        # g = 1, n = 1: x^4 + 2x^3 + 2x + 1 = (x + 1)^4 mod 2, and both
+        # constant shifts mod 2, (x + 1)^4 and x^4, keep a quadruple root
+        with pytest.raises(ConstructionError, match="no constant shift clears .* mod 2"):
+            fix_multiplicities([1, 2, 0, 2, 1], 1, 1)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="monic"):

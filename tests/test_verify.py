@@ -318,12 +318,13 @@ class TestTotallyToricAgreement:
         assert _golden_report().flag("TT").status == "pass"
 
 
+def _g10_plan() -> PrimePlan:
+    return plan_primes(10, two_g_eps_tuples(10)[0])
+
+
 class TestComputeOnce:
-    def test_one_discriminant_and_two_screen_resultants_per_check(self, monkeypatch):
-        g = 10
-        plan = plan_primes(g, two_g_eps_tuples(g)[0])
-        rng = random.Random(10)
-        f = [rng.randint(-9, 9) for _ in range(2 * g + 2)] + [1]
+    @pytest.fixture
+    def resultant_calls(self, monkeypatch):
         calls = []
 
         def counted(a, b):
@@ -332,7 +333,39 @@ class TestComputeOnce:
 
         for module in (verify, construct, inertia):
             monkeypatch.setattr(module, "resultant", counted)
+        return calls
+
+    def test_one_discriminant_and_two_screen_resultants_per_check(self, resultant_calls):
+        g = 10
+        plan = _g10_plan()
+        rng = random.Random(10)
+        f = [rng.randint(-9, 9) for _ in range(2 * g + 2)] + [1]
+        assert arith.fp_is_irreducible(arith.poly_reduce(f, plan.p_irr), plan.p_irr)
         report = check_hypotheses(f, plan, scan_bound=10**3)
         assert report.flag("TT").status == "fail"  # evaluated at 3, 5 and 7
-        # Res(f, f'), then Res(f', f'') and Res(f, f'') for the screen
-        assert calls == [(23, 22), (22, 21), (23, 21)]
+        # irreducible mod p_irr, hence squarefree, so no Res(f, f'): only the
+        # screen's Res(f', f'') and Res(f, f'')
+        assert resultant_calls == [(22, 21), (23, 21)]
+
+    def test_seed0_polynomial_takes_no_discriminant(self, resultant_calls):
+        cert = build_certificate(10, seed=0)
+        resultant_calls.clear()
+        report = check_hypotheses(list(cert.f), cert.plan)
+        assert report.verdict.kind == "maximal-all-ell"
+        assert resultant_calls == [(22, 21), (23, 21)]
+
+    def test_reducible_mod_p_irr_takes_the_discriminant(self, resultant_calls):
+        plan = _g10_plan()
+        # (x - 1)(x^21 + 1) has a rational root and is squarefree
+        f = poly_mul([-1, 1], [1] + [0] * 20 + [1])
+        assert not arith.fp_is_irreducible(arith.poly_reduce(f, plan.p_irr), plan.p_irr)
+        report = check_hypotheses(f, plan, scan_bound=10**3)
+        assert report.flag("S_2g+2").status == "fail"
+        assert resultant_calls == [(23, 22), (22, 21), (23, 21)]
+
+    def test_repeated_factor_still_raises(self, resultant_calls):
+        plan = _g10_plan()
+        f = poly_mul(poly_mul([-1, 1], [-1, 1]), [1] + [0] * 19 + [1])
+        with pytest.raises(ValueError, match="squarefree"):
+            check_hypotheses(f, plan)
+        assert resultant_calls == [(23, 22)]
