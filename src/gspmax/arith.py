@@ -19,10 +19,14 @@ from dataclasses import dataclass
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, by a segmented sieve of Eratosthenes."""
+def iter_primes(bound: int) -> Iterator[int]:
+    """The primes <= bound in increasing order, by a segmented sieve of Eratosthenes.
+
+    The base primes <= sqrt(bound) are yielded before any segment above them
+    is sieved, so a caller that stops early pays only for what it drew.
+    """
     if bound < 2:
-        return []
+        return
     root = math.isqrt(bound)
     base = bytearray([1]) * (root + 1)
     base[0:2] = b"\x00\x00"
@@ -30,7 +34,7 @@ def primes_up_to(bound: int) -> list[int]:
         if base[i]:
             base[i * i :: i] = bytearray(len(base[i * i :: i]))
     small = [i for i in range(2, root + 1) if base[i]]
-    primes = list(small)
+    yield from small
     seg_size = 1 << 16
     low = root + 1
     while low <= bound:
@@ -41,9 +45,13 @@ def primes_up_to(bound: int) -> list[int]:
             if start > high:
                 continue
             seg[start - low :: p] = bytearray(len(seg[start - low :: p]))
-        primes.extend(i + low for i, flag in enumerate(seg) if flag)
+        yield from (i + low for i, flag in enumerate(seg) if flag)
         low = high + 1
-    return primes
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """All primes <= bound, as a list."""
+    return list(iter_primes(bound))
 
 
 def _mr_witness(n: int, a: int) -> bool:

@@ -451,7 +451,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_CONSTRUCTION, f"construction failed: {err}") from err
     except ValueError as err:
         raise _CliError(EXIT_USAGE, str(err)) from err
-    report = check_hypotheses(list(cert.f), cert.plan, scan_bound=scan_bound)
+    report = check_hypotheses(
+        list(cert.f), cert.plan, scan_bound=scan_bound, screen=cert.repair.screen
+    )
     write_certificate(args.out, cert, report)
     if args.poly_out is not None:
         write_poly_file(args.poly_out, list(cert.f))

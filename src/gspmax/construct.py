@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import (
     crt_integers,
     is_prime,
     is_primitive_root,
+    iter_primes,
     poly_deg,
     poly_derivative,
     poly_trim,
@@ -273,9 +274,13 @@ def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> T
     Res(f, f''), and hence G = gcd(|Res(f', f'')|, |Res(f, f'')|). When
     Res(f, f'') = 0, G is |Res(f', f'')|, which p still divides.
 
-    G is trial-divided by the primes up to scan_bound until the cofactor
-    reaches 1. A cofactor left above 1 is a found prime when it is prime,
-    and otherwise the residual cofactor of an incomplete screen.
+    G is trial-divided by the primes up to scan_bound, drawn in increasing
+    order, and the division stops at the first of: the cofactor reaches 1,
+    the primes pass scan_bound, or the next prime p has p^2 > cofactor (all
+    prime factors of the cofactor are then >= p, so it is prime). A cofactor
+    left above 1 is a found prime when it is prime, and otherwise the
+    residual cofactor of an incomplete screen. The result is the same as
+    dividing by every prime up to scan_bound.
     """
     d1 = poly_derivative(f)
     d2 = poly_derivative(d1)
@@ -285,13 +290,15 @@ def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> T
     common = math.gcd(res, resultant(f, d2))
     found = []
     cofactor = common
-    for p in primes_up_to(scan_bound):
-        if cofactor == 1:
+    for p in iter_primes(scan_bound):
+        if p * p > cofactor:
             break
         if cofactor % p == 0:
             found.append(p)
             while cofactor % p == 0:
                 cofactor //= p
+            if cofactor == 1:
+                break
     if cofactor > 1 and is_prime(cofactor):
         found.append(cofactor)
         cofactor = 1
@@ -314,6 +321,11 @@ class RepairRecord:
     found_primes, residual_cofactor and status come from the triple-root
     screen of the final f: status is "clean" when that screen was complete
     and "conditional" when a composite cofactor remains.
+
+    screen is that screen itself, kept in memory so that the report on f
+    need not compute it again. It is None for a record read back from a
+    certificate file, which does not store it, and it takes no part in
+    equality.
     """
 
     f: tuple[int, ...]
@@ -326,6 +338,7 @@ class RepairRecord:
     scan_bound: int
     residual_cofactor: int
     status: str
+    screen: TripleRootScreen | None = field(default=None, compare=False, repr=False)
 
 
 def _clear_small_prime(f: list[int], n: int, p: int) -> tuple[int, int]:
@@ -446,6 +459,7 @@ def fix_multiplicities(
         scan_bound=scan_bound,
         residual_cofactor=screen.residual_cofactor,
         status="clean" if screen.complete else "conditional",
+        screen=screen,
     )
 
 

@@ -23,6 +23,7 @@ from .construct import (
     DEFAULT_SCAN_BOUND,
     ONE_MOD_3,
     PrimePlan,
+    TripleRootScreen,
     generator_moduli,
     local_spec_list,
     screen_triple_roots,
@@ -136,7 +137,10 @@ def _type_text(spec: LocalSpec, typed: bool) -> str:
 
 
 def check_hypotheses(
-    f: list[int], plan: PrimePlan, scan_bound: int = DEFAULT_SCAN_BOUND
+    f: list[int],
+    plan: PrimePlan,
+    scan_bound: int = DEFAULT_SCAN_BOUND,
+    screen: TripleRootScreen | None = None,
 ) -> VerificationReport:
     """Evaluate every hypothesis flag for f against its prime plan.
 
@@ -150,6 +154,11 @@ def check_hypotheses(
     primes above g, sizes, primitive roots, residues mod 3) are validated
     when the PrimePlan is created and only described here.
 
+    screen, when given, must be screen_triple_roots(f, scan_bound), and is
+    used instead of computing that screen again; a screen to another bound
+    raises ValueError. construct passes the screen its repair ended with;
+    verify passes none, so the screen is computed here.
+
     Raises ValueError unless f is monic of degree 2g + 2 and squarefree.
     Squarefreeness is taken from the S_2g+2 test when f is irreducible mod
     p_irr (so squarefree mod p_irr, and disc(f) != 0 as f is monic); only
@@ -160,6 +169,8 @@ def check_hypotheses(
     f = list(f)
     if poly_deg(poly_trim(f)) != deg or f[-1] != 1:
         raise ValueError("f must be monic of degree 2g + 2")
+    if screen is not None and screen.scan_bound != scan_bound:
+        raise ValueError("the given screen was taken to a different scan bound")
     irreducible = fp_is_irreducible(poly_reduce(f, plan.p_irr), plan.p_irr)
     if not irreducible and resultant(f, poly_derivative(f)) == 0:
         raise ValueError("f must be squarefree")
@@ -232,7 +243,8 @@ def check_hypotheses(
     exceptions = set(plan.exceptions)
     good_2 = good_reduction_at_2(f, g)
     try:
-        screen = screen_triple_roots(f, scan_bound)
+        if screen is None:
+            screen = screen_triple_roots(f, scan_bound)
         bad = []
         for p in screen.found_primes:
             mult = max(multiplicity_profile(f, p))

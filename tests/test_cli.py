@@ -216,6 +216,16 @@ class TestConstructCommand:
         )
         assert not out.exists()
 
+    def test_construct_screens_once_and_verify_screens_again(self, tmp_path, resultant_calls):
+        cert, poly = tmp_path / "cert.json", tmp_path / "f.json"
+        args = ["--genus", "10", "--seed", "0", "--out", str(cert), "--poly-out", str(poly)]
+        assert main(["construct", *args]) == 0
+        # the repair's Res(f', f'') and Res(f, f''); the report reuses its screen
+        assert resultant_calls == [(22, 21), (23, 21)]
+        resultant_calls.clear()
+        assert main(["verify", "--poly", str(poly), "--cert", str(cert)]) == 0
+        assert resultant_calls == [(22, 21), (23, 21)]
+
     def test_rerun_is_byte_identical(self, fixture_files, tmp_path):
         cert_path, _ = fixture_files
         again = tmp_path / "again.json"
@@ -353,6 +363,7 @@ class TestVerifyCommand:
             raise AssertionError(f"sieve to {bound} was started")
 
         monkeypatch.setattr(construct, "primes_up_to", no_sieve)
+        monkeypatch.setattr(construct, "iter_primes", no_sieve)
         cert_path, poly_path = fixture_files
         huge = str(10**40)
         verify = ["verify", "--poly", str(poly_path), "--cert", str(cert_path)]

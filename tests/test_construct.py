@@ -1,11 +1,21 @@
 """Tests for prime planning, CRT assembly, and triple-root repair."""
 
 import dataclasses
+import functools
 
 import pytest
 
 from golden_data import F0, N, PLAN_G6, TUPLE_G6
-from gspmax.arith import crt_integers, poly_derivative, poly_mul, resultant
+from gspmax import arith, construct
+from gspmax.arith import (
+    crt_integers,
+    is_prime,
+    poly_derivative,
+    poly_mul,
+    primes_up_to,
+    resultant,
+)
+from gspmax.cli import MAX_SCAN_BOUND
 from gspmax.construct import (
     Certificate,
     ExceptionalGenusError,
@@ -214,6 +224,83 @@ class TestScreenTripleRoots:
             screen_triple_roots([0] * 14 + [1])
 
 
+def _screen_by_every_prime(common: int, bound: int) -> tuple[tuple[int, ...], int]:
+    """(found_primes, residual_cofactor) by dividing common by every prime up
+    to the bound, then testing the cofactor for primality."""
+    found = []
+    cofactor = common
+    for p in primes_up_to(bound):
+        if cofactor == 1:
+            break
+        if cofactor % p == 0:
+            found.append(p)
+            while cofactor % p == 0:
+                cofactor //= p
+    if cofactor > 1 and is_prime(cofactor):
+        found.append(cofactor)
+        cofactor = 1
+    return tuple(found), cofactor
+
+
+@functools.cache
+def _seed0_f(g: int) -> list[int]:
+    return list(build_certificate(g, seed=0).f)
+
+
+# G = 2^6 * 3^6 * 101: the cofactor 101 is left once 11^2 > 101
+F_PRIME_101 = [2, 3, 0, -3, -5, 6, 1]
+# G = 2^8 * 115547: the cofactor is a prime above 10^4, left once 347^2 > it
+F_PRIME_115547 = [-5, -8, -3, 4, -8, -8, -7, 7, 1]
+
+
+SCREEN_INPUTS = {
+    "F0": lambda: F0,
+    "seed0-g6": lambda: _seed0_f(6),
+    "seed0-g8": lambda: _seed0_f(8),
+    "prime-101": lambda: F_PRIME_101,
+    "prime-115547": lambda: F_PRIME_115547,
+}
+
+
+class TestLazyTrialDivision:
+    @pytest.mark.parametrize("bound", [2, 10, 40, 41, 10**4])
+    @pytest.mark.parametrize("name", list(SCREEN_INPUTS))
+    def test_matches_division_by_every_prime(self, name, bound):
+        screen = screen_triple_roots(SCREEN_INPUTS[name](), scan_bound=bound)
+        expected = _screen_by_every_prime(screen.candidate_gcd, bound)
+        assert (screen.found_primes, screen.residual_cofactor) == expected
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        primes = []
+
+        def counted(bound):
+            for p in arith.iter_primes(bound):
+                primes.append(p)
+                yield p
+
+        monkeypatch.setattr(construct, "iter_primes", counted)
+        return primes
+
+    def test_stops_when_the_cofactor_reaches_one(self, drawn):
+        screen = screen_triple_roots(F0, scan_bound=MAX_SCAN_BOUND)
+        assert screen.found_primes == (2, 17, 19, 37, 41) and screen.complete
+        assert max(drawn) == 41
+
+    @pytest.mark.parametrize(
+        "f, candidate_gcd, found, last_drawn",
+        [
+            (F_PRIME_101, 2**6 * 3**6 * 101, (2, 3, 101), 11),
+            (F_PRIME_115547, 2**8 * 115547, (2, 115547), 347),
+        ],
+    )
+    def test_stops_when_the_cofactor_is_prime(self, drawn, f, candidate_gcd, found, last_drawn):
+        screen = screen_triple_roots(f, scan_bound=MAX_SCAN_BOUND)
+        assert screen.candidate_gcd == candidate_gcd
+        assert screen.found_primes == found and screen.complete
+        assert max(drawn) == last_drawn
+
+
 class TestFixMultiplicities:
     def test_golden_passes_through_unchanged(self):
         rec = fix_multiplicities(
@@ -244,6 +331,11 @@ class TestFixMultiplicities:
         assert rec.z > 0
         assert max(multiplicity_profile(list(rec.f), p)) <= 2
         assert all((a - b) % N == 0 for a, b in zip(rec.f, f_test))
+        # the record keeps the screen of the shifted f, not of f_test
+        assert rec.screen == screen_triple_roots(list(rec.f), 10**4)
+        assert rec.found_primes == rec.screen.found_primes
+        # a record read back from a certificate has no screen and is still equal
+        assert dataclasses.replace(rec, screen=None) == rec
 
     def test_small_prime_pre_stage(self):
         n = (2**14) * 9 * 25 * 121

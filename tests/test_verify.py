@@ -7,7 +7,7 @@ import random
 import pytest
 
 from golden_data import F0, PLAN_G6, TUPLE_G6
-from gspmax import arith, construct, inertia, verify
+from gspmax import arith
 from gspmax.arith import poly_mul
 from gspmax.construct import PrimePlan, assemble, build_certificate, plan_primes
 from gspmax.goldbach import GoldbachTuple, two_g_eps_tuples
@@ -322,19 +322,25 @@ def _g10_plan() -> PrimePlan:
     return plan_primes(10, two_g_eps_tuples(10)[0])
 
 
+class TestSharedScreen:
+    @pytest.mark.parametrize("g, seed", [(6, FIXTURE_SEED), (6, 0), (8, 0), (10, 0)])
+    def test_repair_screen_gives_the_same_report(self, g, seed, resultant_calls):
+        cert = build_certificate(g, seed=seed)
+        resultant_calls.clear()
+        shared = check_hypotheses(list(cert.f), cert.plan, screen=cert.repair.screen)
+        assert resultant_calls == []
+        assert shared == check_hypotheses(list(cert.f), cert.plan)
+        assert resultant_calls == [(2 * g + 2, 2 * g + 1), (2 * g + 3, 2 * g + 1)]
+
+    def test_screen_to_another_bound_is_refused(self):
+        cert = build_certificate(6, seed=FIXTURE_SEED)
+        with pytest.raises(ValueError, match="different scan bound"):
+            check_hypotheses(
+                list(cert.f), cert.plan, scan_bound=10**3, screen=cert.repair.screen
+            )
+
+
 class TestComputeOnce:
-    @pytest.fixture
-    def resultant_calls(self, monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append((len(a), len(b)))
-            return arith.resultant(a, b)
-
-        for module in (verify, construct, inertia):
-            monkeypatch.setattr(module, "resultant", counted)
-        return calls
-
     def test_one_discriminant_and_two_screen_resultants_per_check(self, resultant_calls):
         g = 10
         plan = _g10_plan()
