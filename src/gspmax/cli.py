@@ -17,6 +17,7 @@ from .construct import (
     ExceptionalGenusError,
     PrimePlan,
     RepairRecord,
+    TripleRootScreen,
     build_certificate,
     local_spec_list,
 )
@@ -37,7 +38,6 @@ from .localtypes import (
 )
 from .verify import (
     HypothesisFlag,
-    ScanRecord,
     SymmetricGroupEvidence,
     Verdict,
     VerificationReport,
@@ -140,12 +140,10 @@ def _report_to_json(report: VerificationReport) -> dict:
             for fl in report.flags
         ],
         "scan": {
-            "bound": report.scan.bound,
-            "found_primes": [str(p) for p in report.scan.found_primes],
-            "bad_primes": [
-                {"prime": str(p), "multiplicity": m} for p, m in report.scan.bad_primes
-            ],
-            "residual_cofactor": str(report.scan.residual_cofactor),
+            "bound": report.screen.scan_bound,
+            "found_primes": [str(p) for p in report.screen.found_primes],
+            "bad_primes": [{"prime": str(p), "multiplicity": m} for p, m in report.bad_primes],
+            "residual_cofactor": str(report.screen.residual_cofactor),
         },
         "mod_2": {
             "full_cycle": report.mod_2.full_cycle,
@@ -164,20 +162,12 @@ def _report_to_json(report: VerificationReport) -> dict:
     }
 
 
-def _report_from_json(data: dict, g: int, plan: PrimePlan) -> VerificationReport:
+def _report_from_json(data: dict, plan: PrimePlan) -> VerificationReport:
     flags = tuple(
         HypothesisFlag(name=e["name"], status=e["status"], detail=e["detail"])
         for e in data["flags"]
     )
-    scan = ScanRecord(
-        bound=_parse_int(data["scan"]["bound"]),
-        found_primes=tuple(_parse_int(p) for p in data["scan"]["found_primes"]),
-        bad_primes=tuple(
-            (_parse_int(e["prime"]), _parse_int(e["multiplicity"]))
-            for e in data["scan"]["bad_primes"]
-        ),
-        residual_cofactor=_parse_int(data["scan"]["residual_cofactor"]),
-    )
+    scan = data["scan"]
     mod_2 = SymmetricGroupEvidence(
         full_cycle=bool(data["mod_2"]["full_cycle"]),
         near_cycle=bool(data["mod_2"]["near_cycle"]),
@@ -192,10 +182,16 @@ def _report_from_json(data: dict, g: int, plan: PrimePlan) -> VerificationReport
         text=v["text"],
     )
     return VerificationReport(
-        g=g,
         plan=plan,
         flags=flags,
-        scan=scan,
+        screen=TripleRootScreen(
+            found_primes=tuple(_parse_int(p) for p in scan["found_primes"]),
+            residual_cofactor=_parse_int(scan["residual_cofactor"]),
+            scan_bound=_parse_int(scan["bound"]),
+        ),
+        bad_primes=tuple(
+            (_parse_int(e["prime"]), _parse_int(e["multiplicity"])) for e in scan["bad_primes"]
+        ),
         mod_2=mod_2,
         admissible_derived=bool(data["admissible_derived"]),
         partial_admissible=bool(data["partial_admissible"]),
@@ -210,7 +206,7 @@ def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
     repair = cert.repair
     return {
         "schema": SCHEMA_VERSION,
-        "genus": cert.g,
+        "genus": plan.g,
         "tuple": {"q1": tup.q1, "q2": tup.q2, "q3": tup.q3, "q4": tup.q4, "q5": tup.q5},
         "plan": {
             "p_t": plan.p_t,
@@ -246,9 +242,9 @@ def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
             "linear_nudges": repair.linear_nudges,
             "z": str(repair.z),
             "repaired_primes": [str(p) for p in repair.repaired_primes],
-            "found_primes": [str(p) for p in repair.found_primes],
-            "scan_bound": repair.scan_bound,
-            "residual_cofactor": str(repair.residual_cofactor),
+            "found_primes": [str(p) for p in repair.screen.found_primes],
+            "scan_bound": repair.screen.scan_bound,
+            "residual_cofactor": str(repair.screen.residual_cofactor),
             "status": repair.status,
         },
         "report": _report_to_json(report),
@@ -325,13 +321,15 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         linear_nudges=_parse_int(rd["linear_nudges"]),
         z=_parse_int(rd["z"]),
         repaired_primes=tuple(_parse_int(p) for p in rd["repaired_primes"]),
-        found_primes=tuple(_parse_int(p) for p in rd["found_primes"]),
-        scan_bound=_parse_int(rd["scan_bound"]),
-        residual_cofactor=_parse_int(rd["residual_cofactor"]),
-        status=rd["status"],
+        screen=TripleRootScreen(
+            found_primes=tuple(_parse_int(p) for p in rd["found_primes"]),
+            residual_cofactor=_parse_int(rd["residual_cofactor"]),
+            scan_bound=_parse_int(rd["scan_bound"]),
+        ),
     )
+    if rd["status"] != repair.status:
+        raise ValueError("the repair status does not match its screen")
     cert = Certificate(
-        g=g,
         plan=plan,
         specs=tuple(specs),
         witnesses=tuple(witnesses),
@@ -339,7 +337,7 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         modulus=modulus,
         repair=repair,
     )
-    report = _report_from_json(data["report"], g, plan)
+    report = _report_from_json(data["report"], plan)
     return cert, report
 
 
@@ -385,12 +383,9 @@ def _report_exit(report: VerificationReport) -> int:
 def _print_report(report: VerificationReport) -> None:
     for fl in report.flags:
         print(f"{fl.name:<8} {fl.status:<12} {fl.detail}")
-    scan = report.scan
-    if scan.residual_cofactor:
-        bad = (
-            ", ".join(f"{p} (multiplicity {m})" for p, m in scan.bad_primes) or "none"
-        )
-        print(f"triple-root candidates to {scan.bound}: {bad}")
+    if report.screen.residual_cofactor:
+        bad = ", ".join(f"{p} (multiplicity {m})" for p, m in report.bad_primes) or "none"
+        print(f"triple-root candidates to {report.screen.scan_bound}: {bad}")
     ev = report.mod_2
     print(
         "mod-2 ingredients: "
@@ -434,6 +429,8 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise _CliError(EXIT_USAGE, f"--seed must be non-negative, got {args.seed}")
     seed = FIXTURE_SEED if args.fixture else args.seed
     scan_bound = _resolve_scan_bound(args.scan_bound)
     try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import (
     crt_integers,
@@ -248,13 +248,14 @@ def assemble(items: list[tuple[LocalSpec, list[int]]], g: int) -> tuple[list[int
 class TripleRootScreen:
     """Primes at which a polynomial could have a root of multiplicity >= 3.
 
-    Every such prime divides candidate_gcd, so once the screen is complete
-    the found prime divisors are the only candidates. A residual_cofactor
-    above 1 is the composite part of candidate_gcd left unfactored above the
-    scan bound.
+    Every such prime divides G = gcd(|Res(f', f'')|, |Res(f, f'')|), whose
+    prime divisors up to scan_bound (and a prime cofactor above it) are the
+    found_primes. A residual_cofactor above 1 is the composite part of G
+    left unfactored above the scan bound; 0 marks a screen that could not be
+    taken because f' and f'' share a root. Only a complete screen, with
+    residual_cofactor 1, rules out every other prime.
     """
 
-    candidate_gcd: int
     found_primes: tuple[int, ...]
     residual_cofactor: int
     scan_bound: int
@@ -287,9 +288,8 @@ def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> T
     res = resultant(d1, d2)
     if res == 0:
         raise ValueError("the first two derivatives share a root over the rationals")
-    common = math.gcd(res, resultant(f, d2))
+    cofactor = math.gcd(res, resultant(f, d2))
     found = []
-    cofactor = common
     for p in iter_primes(scan_bound):
         if p * p > cofactor:
             break
@@ -303,10 +303,7 @@ def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> T
         found.append(cofactor)
         cofactor = 1
     return TripleRootScreen(
-        candidate_gcd=common,
-        found_primes=tuple(found),
-        residual_cofactor=cofactor,
-        scan_bound=scan_bound,
+        found_primes=tuple(found), residual_cofactor=cofactor, scan_bound=scan_bound
     )
 
 
@@ -318,14 +315,10 @@ class RepairRecord:
     lists (p, u, w) adjustments by N*(u*x + w) applied at small primes,
     linear_nudges counts how many times n_tilde was added to the linear
     coefficient, and z is the final constant shift in units of n_tilde.
-    found_primes, residual_cofactor and status come from the triple-root
-    screen of the final f: status is "clean" when that screen was complete
-    and "conditional" when a composite cofactor remains.
-
-    screen is that screen itself, kept in memory so that the report on f
-    need not compute it again. It is None for a record read back from a
-    certificate file, which does not store it, and it takes no part in
-    equality.
+    screen is the triple-root screen of the final f; construct's report
+    reuses it, and a certificate stores its fields. status is "clean" when
+    that screen is complete and "conditional" when a composite cofactor
+    remains.
     """
 
     f: tuple[int, ...]
@@ -334,11 +327,11 @@ class RepairRecord:
     linear_nudges: int
     z: int
     repaired_primes: tuple[int, ...]
-    found_primes: tuple[int, ...]
-    scan_bound: int
-    residual_cofactor: int
-    status: str
-    screen: TripleRootScreen | None = field(default=None, compare=False, repr=False)
+    screen: TripleRootScreen
+
+    @property
+    def status(self) -> str:
+        return "clean" if self.screen.complete else "conditional"
 
 
 def _clear_small_prime(f: list[int], n: int, p: int) -> tuple[int, int]:
@@ -455,19 +448,17 @@ def fix_multiplicities(
         linear_nudges=nudges,
         z=z,
         repaired_primes=tuple(sorted(constrained)),
-        found_primes=screen.found_primes,
-        scan_bound=scan_bound,
-        residual_cofactor=screen.residual_cofactor,
-        status="clean" if screen.complete else "conditional",
         screen=screen,
     )
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """A constructed polynomial with the plan and evidence behind it."""
+    """A constructed polynomial with the plan and evidence behind it.
 
-    g: int
+    The genus is plan.g.
+    """
+
     plan: PrimePlan
     specs: tuple[LocalSpec, ...]
     witnesses: tuple[tuple[int, ...], ...]
@@ -515,7 +506,6 @@ def build_certificate(
     if any((a - b) % modulus != 0 for a, b in zip(repair.f, f0)):
         raise RuntimeError("internal error: repair left the congruence class")
     return Certificate(
-        g=g,
         plan=plan,
         specs=tuple(specs),
         witnesses=tuple(tuple(w) for w in witnesses),

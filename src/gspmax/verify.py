@@ -1,7 +1,7 @@
 """Hypothesis checking and verdicts for constructed polynomials.
 
 Evaluates the full hypothesis list on a polynomial and its prime plan, runs
-the triple-root scan, and turns the outcome into a verdict on how large the
+the triple-root screen, and turns the outcome into a verdict on how large the
 mod-l monodromy groups are guaranteed to be.
 """
 
@@ -61,22 +61,6 @@ class HypothesisFlag:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    """Result of the triple-root scan behind the semistability flag.
-
-    found_primes are the located prime divisors of gcd(Res(f', f''), Res(f, f''));
-    bad_primes pairs each one carrying a root of multiplicity >= 3 with that
-    maximal multiplicity. A residual_cofactor above 1 means the scan was not
-    exhaustive; 0 means the screen itself was unavailable.
-    """
-
-    bound: int
-    found_primes: tuple[int, ...]
-    bad_primes: tuple[tuple[int, int], ...]
-    residual_cofactor: int
-
-
-@dataclass(frozen=True)
 class SymmetricGroupEvidence:
     """The three ingredients forcing the full symmetric mod-2 group."""
 
@@ -102,12 +86,18 @@ class Verdict:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """All hypothesis flags, the scan record, and the resulting verdict."""
+    """All hypothesis flags, the triple-root evidence, and the resulting verdict.
 
-    g: int
+    The genus is plan.g. screen is the triple-root screen behind the "ss"
+    flag, with residual_cofactor 0 when it could not be taken; bad_primes
+    pairs each of its found primes that carries a root of multiplicity >= 3
+    with that maximal multiplicity.
+    """
+
     plan: PrimePlan
     flags: tuple[HypothesisFlag, ...]
-    scan: ScanRecord
+    screen: TripleRootScreen
+    bad_primes: tuple[tuple[int, int], ...]
     mod_2: SymmetricGroupEvidence
     admissible_derived: bool
     partial_admissible: bool
@@ -157,7 +147,9 @@ def check_hypotheses(
     screen, when given, must be screen_triple_roots(f, scan_bound), and is
     used instead of computing that screen again; a screen to another bound
     raises ValueError. construct passes the screen its repair ended with;
-    verify passes none, so the screen is computed here.
+    verify passes none, so the screen is computed here. When f' and f''
+    share a root no screen can be taken: the report holds one with no
+    primes and residual cofactor 0, and "ss" fails.
 
     Raises ValueError unless f is monic of degree 2g + 2 and squarefree.
     Squarefreeness is taken from the S_2g+2 test when f is irreducible mod
@@ -242,82 +234,72 @@ def check_hypotheses(
 
     exceptions = set(plan.exceptions)
     good_2 = good_reduction_at_2(f, g)
-    try:
-        if screen is None:
+    if screen is None:
+        try:
             screen = screen_triple_roots(f, scan_bound)
-        bad = []
-        for p in screen.found_primes:
-            mult = max(multiplicity_profile(f, p))
-            if mult >= 3:
-                bad.append((p, mult))
-        scan = ScanRecord(
-            bound=scan_bound,
-            found_primes=screen.found_primes,
-            bad_primes=tuple(bad),
-            residual_cofactor=screen.residual_cofactor,
-        )
-        stray = [p for p, _ in bad if p not in exceptions and p != 2]
-        if not good_2 or stray:
-            status = "fail"
-        elif screen.complete:
-            status = "pass"
-        else:
-            status = "conditional"
-        detail = (
-            f"2-adic good-reduction family: {'yes' if good_2 else 'no'}; "
-            f"stray triple-root primes to {scan_bound}: "
-            f"{sorted(stray) if stray else 'none'}"
-        )
-        if not screen.complete:
-            detail += (
-                f"; composite cofactor of {screen.residual_cofactor.bit_length()} "
-                "bits remains above the scan bound"
-            )
-    except ValueError:
-        scan = ScanRecord(scan_bound, (), (), 0)
+        except ValueError:
+            screen = TripleRootScreen(found_primes=(), residual_cofactor=0, scan_bound=scan_bound)
+    bad_primes = tuple(
+        (p, mult)
+        for p in screen.found_primes
+        if (mult := max(multiplicity_profile(f, p))) >= 3
+    )
+    stray = [p for p, _ in bad_primes if p not in exceptions and p != 2]
+    if not good_2 or stray or not screen.residual_cofactor:
         status = "fail"
+    elif screen.complete:
+        status = "pass"
+    else:
+        status = "conditional"
+    detail = (
+        f"2-adic good-reduction family: {'yes' if good_2 else 'no'}; "
+        f"stray triple-root primes to {scan_bound}: "
+        f"{sorted(stray) if stray else 'none'}"
+    )
+    if not screen.residual_cofactor:
         detail = "triple-root screen unavailable: derivatives share a root"
+    elif not screen.complete:
+        detail += (
+            f"; composite cofactor of {screen.residual_cofactor.bit_length()} "
+            "bits remains above the scan bound"
+        )
     flag_ss = HypothesisFlag("ss", status, detail)
 
     flags = (flag_tuple, flag_2t, flag_tt, *block_flags.values(), flag_3, flag_s, flag_ss)
     admissible_derived = all(fl.ok for fl in (*block_flags.values(), flag_ss))
-    stray_partial = [
-        (p, m)
-        for p, m in scan.bad_primes
-        if p != 2 and p not in (plan.p_2, plan.p_3)
-    ]
+    stray_partial = [p for p, _ in bad_primes if p != 2 and p not in (plan.p_2, plan.p_3)]
     partial_admissible = (
         good_2
-        and scan.residual_cofactor != 0
+        and screen.residual_cofactor != 0
         and all(
             (p == plan.p_2_prime and block_flags["p2'"].ok)
             or (p == plan.p_3_prime and block_flags["p3'"].ok)
-            for p, _ in stray_partial
+            for p in stray_partial
         )
     )
     report = VerificationReport(
-        g=g,
         plan=plan,
         flags=flags,
-        scan=scan,
+        screen=screen,
+        bad_primes=bad_primes,
         mod_2=mod_2,
         admissible_derived=admissible_derived,
         partial_admissible=partial_admissible,
     )
-    return dataclasses.replace(report, verdict=verdict(report, g))
+    return dataclasses.replace(report, verdict=verdict(report))
 
 
-def verdict(report: VerificationReport, g: int) -> Verdict:
+def verdict(report: VerificationReport) -> Verdict:
     """Turn a hypothesis report into the strongest supported verdict.
 
     The full flag set certifies maximality at every prime. The core set
     without the mod-3 or symmetric-group flags certifies all primes outside
     {3} or {2}. A passing partial set (2T, p2, p3, tuple, derivable
     admissibility) certifies all primes outside {2, 3, q1, q2, q3, p2, p3}
-    subject to its per-prime case conditions. Anything less is "none".
+    subject to its per-prime case conditions. Anything less is "none". The
+    verdict reads the flags, partial_admissible and the plan, so a report
+    copied with other flags can be judged again.
     """
-    if g != report.g:
-        raise ValueError("genus does not match the report")
     by_name = {fl.name: fl for fl in report.flags}
     conditional = by_name["ss"].status == "conditional"
     core = all(

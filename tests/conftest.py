@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import math
+
 import pytest
 
 from gspmax import arith, construct, inertia, verify
@@ -17,3 +19,15 @@ def resultant_calls(monkeypatch):
     for module in (verify, construct, inertia):
         monkeypatch.setattr(module, "resultant", counted)
     return calls
+
+
+@pytest.fixture
+def screen_gcd():
+    """G(f) = gcd(|Res(f', f'')|, |Res(f, f'')|), which a triple-root screen trial-divides."""
+
+    def gcd_of(f):
+        d1 = arith.poly_derivative(list(f))
+        d2 = arith.poly_derivative(d1)
+        return math.gcd(arith.resultant(d1, d2), arith.resultant(list(f), d2))
+
+    return gcd_of

@@ -107,7 +107,7 @@ class TestGoldenTypeRecognition:
 
 
 class TestTripleRootExclusion:
-    def test_no_stray_triple_roots_below_one_million(self):
+    def test_no_stray_triple_roots_below_one_million(self, screen_gcd):
         start = time.perf_counter()
         screen = screen_triple_roots(F0, 10**6)
         assert screen.found_primes == tuple(PLANNED_MULTIPLICITIES)
@@ -117,7 +117,7 @@ class TestTripleRootExclusion:
             assert max(multiplicity_profile(F0, p)) == PLANNED_MULTIPLICITIES[p]
         # prime divisors of Res(f', f'') that the gcd screen rules out
         for p in (7, 5087, 16741, 887749, 1461781):
-            assert screen.candidate_gcd % p != 0
+            assert screen_gcd(F0) % p != 0
             assert max(multiplicity_profile(F0, p)) <= 2, p
         plan = plan_primes(6, _genus_six_tuple(), seed=FIXTURE_SEED)
         report = check_hypotheses(F0, plan, scan_bound=10**6)

@@ -17,11 +17,14 @@ from gspmax.arith import poly_mul
 from gspmax.cli import (
     MAX_SCAN_BOUND,
     SCAN_BOUND_ENV,
+    _report_from_json,
+    _report_to_json,
     certificate_from_json,
     certificate_to_json,
     main,
 )
-from gspmax.verify import FLAG_NAMES
+from gspmax.localtypes import FIXTURE_SEED
+from gspmax.verify import FLAG_NAMES, check_hypotheses
 
 
 def _flag_statuses(output: str) -> dict[str, str]:
@@ -244,6 +247,23 @@ class TestConstructCommand:
         out = tmp_path / "cert.json"
         code = main(["construct", "--genus", "8", "--fixture", "--out", str(out)])
         assert code == 2
+
+    @pytest.mark.parametrize("genus", ["6", "8"])
+    def test_negative_seed_is_usage_error_before_any_build(
+        self, tmp_path, capsys, monkeypatch, genus
+    ):
+        # -1 is the fixture seed inside the library; the command line takes it only via --fixture
+        def no_build(*args, **kwargs):
+            raise AssertionError("build started")
+
+        monkeypatch.setattr("gspmax.cli.build_certificate", no_build)
+        out, poly = tmp_path / "cert.json", tmp_path / "f.json"
+        argv = ["construct", "--genus", genus, "--seed", "-1", "--out", str(out)]
+        assert main([*argv, "--poly-out", str(poly)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gspmax: --seed must be non-negative, got -1\n"
+        assert captured.out == ""
+        assert not out.exists() and not poly.exists()
 
 
 class TestVerifyCommand:
@@ -488,11 +508,51 @@ class TestInertiaCommand:
 
 
 class TestCertificateRoundTrip:
-    def test_lossless(self, fixture_files):
-        cert_path, _ = fixture_files
+    @pytest.mark.parametrize(
+        "options, code, status",
+        [
+            (["--genus", "6", "--fixture"], 0, "clean"),
+            (["--genus", "6", "--fixture", "--scan-bound", "10"], 3, "conditional"),
+            (["--genus", "8", "--seed", "0"], 0, "clean"),
+            (["--genus", "10", "--seed", "0"], 0, "clean"),
+        ],
+        ids=["fixture", "fixture-scan-10", "seed0-g8", "seed0-g10"],
+    )
+    def test_lossless(self, tmp_path, options, code, status):
+        cert_path = tmp_path / "cert.json"
+        assert main(["construct", *options, "--out", str(cert_path)]) == code
         data = json.loads(cert_path.read_text())
+        assert data["repair"]["status"] == status
         cert, report = certificate_from_json(data)
+        assert cert.repair.status == status
         assert certificate_to_json(cert, report) == data
+
+    @pytest.mark.parametrize(
+        "key, value", [("status", "conditional"), ("residual_cofactor", "6")]
+    )
+    def test_status_that_disagrees_with_the_screen_is_usage_error(
+        self, fixture_files, tmp_path, capsys, key, value
+    ):
+        cert_path, poly_path = fixture_files
+        data = json.loads(cert_path.read_text())
+        data["repair"][key] = value
+        other = tmp_path / "status.json"
+        other.write_text(json.dumps(data))
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(other)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("gspmax: malformed certificate file")
+        assert lines[0].endswith("the repair status does not match its screen")
+
+    def test_unavailable_screen_survives_the_report_round_trip(self):
+        # f = x^14 + 3: f' and f'' share the root 0, so no screen can be taken
+        plan = construct.plan_primes(6, goldbach.two_g_eps_tuples(6)[0], seed=FIXTURE_SEED)
+        report = check_hypotheses([3] + [0] * 13 + [1], plan, scan_bound=10**3)
+        data = _report_to_json(report)
+        assert data["scan"] == {
+            "bound": 10**3, "found_primes": [], "bad_primes": [], "residual_cofactor": "0"
+        }
+        assert _report_from_json(json.loads(json.dumps(data)), plan) == report
 
     def test_unknown_schema_is_usage_error(self, fixture_files, tmp_path, capsys):
         cert_path, poly_path = fixture_files

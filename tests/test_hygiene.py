@@ -1,0 +1,83 @@
+"""Static checks on the package sources, made with the standard library's ast.
+
+Every module in src/gspmax must use each of its top-level imports and refer
+to each of its top-level private names, so that a removal leaves no
+orphaned import or helper behind.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gspmax"
+MODULES = sorted(SRC.glob("*.py"), key=lambda path: path.name)
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every bare name the module reads, including the roots of dotted names."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports (other than __future__) that are never read."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = _read_names(tree)
+    return [name for name in bound if name not in read]
+
+
+def unreferenced_private_names(source: str) -> list[str]:
+    """Top-level _private functions, classes and assignments never read in the module."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.append(node.target.id)
+    read = _read_names(tree)
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_the_checks_find_planted_leftovers():
+    assert {"cli.py", "construct.py", "verify.py"} <= {path.name for path in MODULES}
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from dataclasses import dataclass, field\n"
+        "_LIMIT = 3\n"
+        "_USED = 4\n"
+        "def _helper():\n"
+        "    return sys.argv, _USED\n"
+        "@dataclass\n"
+        "class _Record:\n"
+        "    x: int\n"
+    )
+    assert unused_imports(source) == ["os", "field"]
+    assert unreferenced_private_names(source) == ["_LIMIT", "_helper", "_Record"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_top_level_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_private_name_is_referenced(path):
+    assert unreferenced_private_names(path.read_text(encoding="utf-8")) == []

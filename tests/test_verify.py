@@ -78,11 +78,11 @@ class TestGoldenReport:
         assert "conditional on no triple roots" in short.text
 
     def test_scan_record_contents(self):
-        scan = _golden_report().scan
-        assert scan.bound == 10**4
-        assert scan.found_primes == (2, 17, 19, 37, 41)
-        assert scan.bad_primes == ((2, 14), (17, 11), (19, 7), (37, 13), (41, 11))
-        assert scan.residual_cofactor == 1
+        report = _golden_report()
+        assert report.screen.scan_bound == 10**4
+        assert report.screen.found_primes == (2, 17, 19, 37, 41)
+        assert report.bad_primes == ((2, 14), (17, 11), (19, 7), (37, 13), (41, 11))
+        assert report.screen.residual_cofactor == 1
 
     def test_symmetric_group_evidence_complete(self):
         mod_2 = _golden_report().mod_2
@@ -142,7 +142,7 @@ class TestPreconditions:
         ss = report.flag("ss")
         assert ss.status == "fail"
         assert "derivatives share a root" in ss.detail
-        assert report.scan.residual_cofactor == 0
+        assert report.screen.residual_cofactor == 0
         assert report.partial_admissible is False
         assert report.verdict.kind == "none"
 
@@ -169,24 +169,24 @@ class TestPerturbedInputs:
 class TestVerdictTaxonomy:
     def test_symmetric_group_failure_excludes_two(self):
         report = _refit(_golden_report(), {"S_2g+2": "fail"})
-        v = verdict(report, 6)
+        v = verdict(report)
         assert v.kind == "maximal-except"
         assert v.excluded == (2,)
         assert v.basis == "full-hypothesis-set"
         assert "outside {2}" in v.text
 
     def test_mod_three_failure_excludes_three(self):
-        v = verdict(_refit(_golden_report(), {"3": "fail"}), 6)
+        v = verdict(_refit(_golden_report(), {"3": "fail"}))
         assert v.kind == "maximal-except"
         assert v.excluded == (3,)
 
     def test_both_tail_failures_exclude_two_and_three(self):
-        v = verdict(_refit(_golden_report(), {"3": "fail", "S_2g+2": "fail"}), 6)
+        v = verdict(_refit(_golden_report(), {"3": "fail", "S_2g+2": "fail"}))
         assert v.excluded == (2, 3)
         assert "outside {2, 3}" in v.text
 
     def test_block_failure_with_partial_route_excludes_plan_primes(self):
-        v = verdict(_refit(_golden_report(), {"p2'": "fail"}), 6)
+        v = verdict(_refit(_golden_report(), {"p2'": "fail"}))
         assert v.kind == "maximal-except"
         assert v.basis == "partial-hypothesis-set"
         assert v.excluded == (2, 3, 7, 13, 19, 37)
@@ -194,17 +194,17 @@ class TestVerdictTaxonomy:
 
     def test_block_failure_without_partial_route_gives_none(self):
         report = _refit(_golden_report(), {"p2'": "fail"}, partial_admissible=False)
-        assert verdict(report, 6).kind == "none"
+        assert verdict(report).kind == "none"
 
     def test_transposition_failure_gives_none(self):
-        v = verdict(_refit(_golden_report(), {"2T": "fail"}), 6)
+        v = verdict(_refit(_golden_report(), {"2T": "fail"}))
         assert v.kind == "none"
         assert v.basis == "insufficient"
 
     def test_conditional_scan_propagates_into_every_kind(self):
         kinds = set()
         for failing in ({}, {"S_2g+2": "fail"}, {"p2'": "fail"}, {"2T": "fail"}):
-            v = verdict(_refit(_golden_report(), {**failing, "ss": "conditional"}), 6)
+            v = verdict(_refit(_golden_report(), {**failing, "ss": "conditional"}))
             kinds.add((v.kind, v.basis))
             assert v.conditional is True
             if v.kind != "none":
@@ -219,13 +219,9 @@ class TestVerdictTaxonomy:
         }
 
     def test_unconditional_when_scan_passes(self):
-        v = verdict(_refit(_golden_report(), {"ss": "pass"}), 6)
+        v = verdict(_refit(_golden_report(), {"ss": "pass"}))
         assert v.conditional is False
         assert "conditional" not in v.text
-
-    def test_genus_must_match_report(self):
-        with pytest.raises(ValueError, match="genus does not match"):
-            verdict(_golden_report(), 5)
 
 
 class TestPartialRoute:
@@ -267,7 +263,7 @@ class TestPartialRoute:
             assert statuses[name] == "pass"
         assert "type 1-{3,11} at 149: no" in report.flag("p2'").detail
         assert report.partial_admissible is True
-        assert report.scan.bad_primes == ((2, 14), (19, 7), (37, 13))
+        assert report.bad_primes == ((2, 14), (19, 7), (37, 13))
         v = report.verdict
         assert v.kind == "maximal-except"
         assert v.basis == "partial-hypothesis-set"
@@ -301,11 +297,12 @@ class TestScanBounds:
         low = _short_scan_report()
         mid = check_hypotheses(list(F0), _fixture_plan(), scan_bound=10**3)
         high = _golden_report()
-        assert set(low.scan.found_primes) < set(mid.scan.found_primes)
+        assert set(low.screen.found_primes) < set(mid.screen.found_primes)
         # G's largest prime is 41, so every bound past it finds the same set
-        assert mid.scan == dataclasses.replace(high.scan, bound=10**3)
-        assert low.scan.bad_primes == ((2, 14),)
-        assert low.scan.residual_cofactor == 17**18 * 19**10 * 37**22 * 41**10
+        assert mid.screen == dataclasses.replace(high.screen, scan_bound=10**3)
+        assert mid.bad_primes == high.bad_primes
+        assert low.bad_primes == ((2, 14),)
+        assert low.screen.residual_cofactor == 17**18 * 19**10 * 37**22 * 41**10
         assert low.flag("ss").status == "conditional"
         assert mid.flag("ss").status == high.flag("ss").status == "pass"
         assert low.verdict.kind == mid.verdict.kind == high.verdict.kind
