@@ -6,13 +6,13 @@ import argparse
 import collections
 import itertools
 import json
-import math
 import os
 import sys
 
 from .arith import is_prime, poly_deg
 from .construct import (
     DEFAULT_SCAN_BOUND,
+    PLAN_FIELDS,
     Certificate,
     ExceptionalGenusError,
     PrimePlan,
@@ -39,7 +39,6 @@ from .localtypes import (
 from .verify import (
     HypothesisFlag,
     SymmetricGroupEvidence,
-    Verdict,
     VerificationReport,
     check_hypotheses,
     excluded_primes_exceptional,
@@ -163,6 +162,7 @@ def _report_to_json(report: VerificationReport) -> dict:
 
 
 def _report_from_json(data: dict, plan: PrimePlan) -> VerificationReport:
+    """Parse what a report cannot derive; the verdict and admissibility must follow from it."""
     flags = tuple(
         HypothesisFlag(name=e["name"], status=e["status"], detail=e["detail"])
         for e in data["flags"]
@@ -173,15 +173,7 @@ def _report_from_json(data: dict, plan: PrimePlan) -> VerificationReport:
         near_cycle=bool(data["mod_2"]["near_cycle"]),
         transposition=bool(data["mod_2"]["transposition"]),
     )
-    v = data["verdict"]
-    verdict_obj = Verdict(
-        kind=v["kind"],
-        excluded=tuple(_parse_int(p) for p in v["excluded"]),
-        conditional=bool(v["conditional"]),
-        basis=v["basis"],
-        text=v["text"],
-    )
-    return VerificationReport(
+    report = VerificationReport(
         plan=plan,
         flags=flags,
         screen=TripleRootScreen(
@@ -193,10 +185,11 @@ def _report_from_json(data: dict, plan: PrimePlan) -> VerificationReport:
             (_parse_int(e["prime"]), _parse_int(e["multiplicity"])) for e in scan["bad_primes"]
         ),
         mod_2=mod_2,
-        admissible_derived=bool(data["admissible_derived"]),
         partial_admissible=bool(data["partial_admissible"]),
-        verdict=verdict_obj,
     )
+    if _report_to_json(report) != data:
+        raise ValueError("the stored report does not follow from its flags and screen")
+    return report
 
 
 def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
@@ -208,16 +201,7 @@ def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
         "schema": SCHEMA_VERSION,
         "genus": plan.g,
         "tuple": {"q1": tup.q1, "q2": tup.q2, "q3": tup.q3, "q4": tup.q4, "q5": tup.q5},
-        "plan": {
-            "p_t": plan.p_t,
-            "p_t_prime": plan.p_t_prime,
-            "p_2": plan.p_2,
-            "p_2_prime": plan.p_2_prime,
-            "p_3": plan.p_3,
-            "p_3_prime": plan.p_3_prime,
-            "p_irr": plan.p_irr,
-            "p_lin": plan.p_lin,
-        },
+        "plan": {name: getattr(plan, name) for name in PLAN_FIELDS},
         "specs": [
             {
                 "prime": spec.p,
@@ -260,7 +244,9 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
     f0 matches every witness modulo its spec's modulus, so all three are
     checked. The length of f0 bounds the genus, and each entry is compared
     with the menu before any modulus is computed, so the work is bounded by
-    the size of the file.
+    the size of the file. The stored report must serialize back to itself,
+    so its verdict and admissibility follow from its flags, and its screen
+    must be the repair's.
     """
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
@@ -278,11 +264,7 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         q3=_parse_int(t["q3"]),
     )
     plan = PrimePlan(
-        g=g,
-        prime_tuple=tup,
-        **{key: _parse_int(data["plan"][key]) for key in (
-            "p_t", "p_t_prime", "p_2", "p_2_prime", "p_3", "p_3_prime", "p_irr", "p_lin"
-        )},
+        g=g, prime_tuple=tup, **{name: _parse_int(data["plan"][name]) for name in PLAN_FIELDS}
     )
     specs = local_spec_list(plan)
     entries = data["specs"]
@@ -307,9 +289,6 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         if any((a - b) % spec.modulus for a, b in pairs):
             raise ValueError(f"f0 does not match the witness at {spec.p} mod {spec.modulus}")
         witnesses.append(witness)
-    modulus = _parse_int(data["N"])
-    if modulus != math.prod(spec.modulus for spec in specs):
-        raise ValueError("N is not the product of the spec moduli")
     rd = data["repair"]
     repair = RepairRecord(
         f=tuple(_parse_int(c) for c in rd["f"]),
@@ -329,15 +308,12 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
     )
     if rd["status"] != repair.status:
         raise ValueError("the repair status does not match its screen")
-    cert = Certificate(
-        plan=plan,
-        specs=tuple(specs),
-        witnesses=tuple(witnesses),
-        f0=f0,
-        modulus=modulus,
-        repair=repair,
-    )
+    cert = Certificate(plan=plan, witnesses=tuple(witnesses), f0=f0, repair=repair)
+    if _parse_int(data["N"]) != cert.modulus:
+        raise ValueError("N is not the product of the spec moduli")
     report = _report_from_json(data["report"], plan)
+    if report.screen != repair.screen:
+        raise ValueError("the report's triple-root screen differs from the repair's")
     return cert, report
 
 
@@ -398,6 +374,15 @@ def _print_report(report: VerificationReport) -> None:
     print(report.verdict.text)
 
 
+def _excluded_line(g: int) -> str | None:
+    """The known excluded primes of an exceptional genus as one line, or None without a row."""
+    try:
+        row = excluded_primes_exceptional(g)
+    except ValueError:
+        return None
+    return f"known excluded primes for genus {g}: {', '.join(str(p) for p in sorted(row))}"
+
+
 def cmd_goldbach(args: argparse.Namespace) -> int:
     if args.max is not None:
         if args.max > MAX_SCAN_BOUND:
@@ -416,12 +401,8 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
     n = 2 * g + 2
     if not tuples:
         print(f"genus {g} is exceptional: no qualifying prime tuple for {n}")
-        try:
-            row = excluded_primes_exceptional(g)
-        except ValueError:
-            return EXIT_PASS
-        listed = ", ".join(str(p) for p in sorted(row))
-        print(f"known excluded primes for genus {g}: {listed}")
+        if (line := _excluded_line(g)) is not None:
+            print(line)
         return EXIT_PASS
     for tup in tuples:
         print(f"{n} = {tup.q1} + {tup.q2} = {tup.q4} + {tup.q5}, q3 = {tup.q3}")
@@ -437,12 +418,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         cert = build_certificate(args.genus, seed=seed, scan_bound=scan_bound)
     except ExceptionalGenusError as err:
         print(f"gspmax: {err}", file=sys.stderr)
-        try:
-            row = excluded_primes_exceptional(args.genus)
-        except ValueError:
-            return EXIT_EXCEPTIONAL
-        listed = ", ".join(str(p) for p in sorted(row))
-        print(f"known excluded primes for genus {args.genus}: {listed}", file=sys.stderr)
+        if (line := _excluded_line(args.genus)) is not None:
+            print(line, file=sys.stderr)
         return EXIT_EXCEPTIONAL
     except ConstructionError as err:
         raise _CliError(EXIT_CONSTRUCTION, f"construction failed: {err}") from err

@@ -37,6 +37,9 @@ PLAN_SCAN_BOUND = 10**6
 
 DEFAULT_SCAN_BOUND = 10**5
 
+# The eight PrimePlan fields that hold its auxiliary primes, in field order.
+PLAN_FIELDS = ("p_t", "p_t_prime", "p_2", "p_2_prime", "p_3", "p_3_prime", "p_irr", "p_lin")
+
 # The tuple primes mod which each block-pattern prime must be a primitive
 # root, keyed by its PrimePlan field, in the order plan_primes fills them.
 GENERATORS = {
@@ -122,16 +125,7 @@ class PrimePlan:
 
     @property
     def all_primes(self) -> tuple[int, ...]:
-        return (
-            self.p_t,
-            self.p_t_prime,
-            self.p_2,
-            self.p_2_prime,
-            self.p_3,
-            self.p_3_prime,
-            self.p_irr,
-            self.p_lin,
-        )
+        return tuple(getattr(self, name) for name in PLAN_FIELDS)
 
     @property
     def exceptions(self) -> tuple[int, ...]:
@@ -251,9 +245,10 @@ class TripleRootScreen:
     Every such prime divides G = gcd(|Res(f', f'')|, |Res(f, f'')|), whose
     prime divisors up to scan_bound (and a prime cofactor above it) are the
     found_primes. A residual_cofactor above 1 is the composite part of G
-    left unfactored above the scan bound; 0 marks a screen that could not be
-    taken because f' and f'' share a root. Only a complete screen, with
-    residual_cofactor 1, rules out every other prime.
+    left unfactored above the scan bound; 0 marks the unavailable screen
+    TripleRootScreen((), 0, scan_bound), taken when f' and f'' share a root.
+    Only a complete screen, with residual_cofactor 1, rules out every other
+    prime.
     """
 
     found_primes: tuple[int, ...]
@@ -282,12 +277,16 @@ def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> T
     left above 1 is a found prime when it is prime, and otherwise the
     residual cofactor of an incomplete screen. The result is the same as
     dividing by every prime up to scan_bound.
+
+    When Res(f', f'') = 0, f' and f'' share a root over the rationals, every
+    prime divides it, and the unavailable screen (no primes, residual
+    cofactor 0) is returned.
     """
     d1 = poly_derivative(f)
     d2 = poly_derivative(d1)
     res = resultant(d1, d2)
     if res == 0:
-        raise ValueError("the first two derivatives share a root over the rationals")
+        return TripleRootScreen(found_primes=(), residual_cofactor=0, scan_bound=scan_bound)
     cofactor = math.gcd(res, resultant(f, d2))
     found = []
     for p in iter_primes(scan_bound):
@@ -407,13 +406,9 @@ def fix_multiplicities(
     n_tilde = n * math.prod(small)
     skip = set(exceptions) | {2}
     nudges = 0
-    while True:
-        try:
-            screen = screen_triple_roots(f, scan_bound)
-            break
-        except ValueError:
-            f[1] += n_tilde
-            nudges += 1
+    while not (screen := screen_triple_roots(f, scan_bound)).residual_cofactor:
+        f[1] += n_tilde
+        nudges += 1
     for p in screen.found_primes:
         if n % p == 0 and p not in skip and max(multiplicity_profile(f, p)) >= 3:
             raise ConstructionError(f"unrepairable multiplicity-3 root at {p} dividing n")
@@ -456,15 +451,22 @@ def fix_multiplicities(
 class Certificate:
     """A constructed polynomial with the plan and evidence behind it.
 
-    The genus is plan.g.
+    The genus is plan.g. witnesses[i] realizes specs[i], the plan's menu, and
+    f0 is their CRT assembly mod modulus, the product of the spec moduli.
     """
 
     plan: PrimePlan
-    specs: tuple[LocalSpec, ...]
     witnesses: tuple[tuple[int, ...], ...]
     f0: tuple[int, ...]
-    modulus: int
     repair: RepairRecord
+
+    @property
+    def specs(self) -> tuple[LocalSpec, ...]:
+        return tuple(local_spec_list(self.plan))
+
+    @property
+    def modulus(self) -> int:
+        return math.prod(spec.modulus for spec in self.specs)
 
     @property
     def f(self) -> tuple[int, ...]:
@@ -507,9 +509,7 @@ def build_certificate(
         raise RuntimeError("internal error: repair left the congruence class")
     return Certificate(
         plan=plan,
-        specs=tuple(specs),
         witnesses=tuple(tuple(w) for w in witnesses),
         f0=tuple(f0),
-        modulus=modulus,
         repair=repair,
     )

@@ -232,15 +232,21 @@ def good_reduction_at_2(f: list[int], g: int) -> bool:
 # ---------------------------------------------------------------------------
 # witness construction
 
-def _separable_candidate(deg: int, p: int, rng: random.Random) -> list[int]:
-    return [rng.randrange(p) for _ in range(deg)] + [1]
+def _draw(deg: int, p: int, rng: random.Random, budget: int, accept) -> list[int]:
+    """The first of at most budget random monic degree-deg polynomials mod p that accept takes."""
+    for _ in range(budget):
+        cand = [rng.randrange(p) for _ in range(deg)] + [1]
+        if accept(cand):
+            return cand
+    raise ConstructionError("no witness found")
 
 
-def _is_separable(f: list[int], p: int) -> bool:
+def _separable_avoiding(f: list[int], p: int, points: int) -> bool:
+    """f is separable mod p and has no root among 0, 1, ..., points - 1."""
     fd = poly_derivative(f, p)
     if not fd:
         return poly_deg(f) <= 0
-    return fp_gcd(f, fd, p) == [1]
+    return fp_gcd(f, fd, p) == [1] and all(poly_eval(f, r, p) for r in range(points))
 
 
 def _type_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
@@ -261,21 +267,10 @@ def _type_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
         block[0] -= p**t
         blocks.append(block)
     cof_deg = deg - total
-    if cof_deg == 0:
-        cofactor = [1]
-    else:
+    out = [1]
+    if cof_deg:
         rng = random.Random(seed)
-        for _ in range(budget):
-            cand = _separable_candidate(cof_deg, p, rng)
-            if not _is_separable(cand, p):
-                continue
-            if any(poly_eval(cand, i, p) == 0 for i in range(k)):
-                continue
-            cofactor = cand
-            break
-        else:
-            raise ConstructionError("no witness found")
-    out = cofactor
+        out = _draw(cof_deg, p, rng, budget, lambda h: _separable_avoiding(h, p, k))
     for block in blocks:
         out = poly_mul(out, block)
     return poly_reduce(out, spec.modulus)
@@ -292,40 +287,23 @@ def _double_roots_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> li
     base = [1]
     for r in range(simple):
         base = poly_mul(base, [-r, 1])
-    rng = random.Random(seed)
-    for _ in range(budget):
-        h = _separable_candidate(d, p, rng)
-        if not _is_separable(h, p):
-            continue
-        if any(poly_eval(h, r, p) == 0 for r in range(simple)):
-            continue
-        return poly_reduce(poly_mul(base, poly_mul(h, h)), p * p)
-    raise ConstructionError("no witness found")
+    h = _draw(d, p, random.Random(seed), budget, lambda h: _separable_avoiding(h, p, simple))
+    return poly_reduce(poly_mul(base, poly_mul(h, h)), p * p)
 
 
 def _irreducible_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
     p = spec.p
-    deg = 2 * g + 2
-    rng = random.Random(seed)
-    for _ in range(budget):
-        cand = _separable_candidate(deg, p, rng)
-        if fp_is_irreducible(cand, p):
-            return cand
-    raise ConstructionError("no witness found")
+    return _draw(2 * g + 2, p, random.Random(seed), budget, lambda f: fp_is_irreducible(f, p))
 
 
 def _linear_times_irreducible_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
     p = spec.p
-    deg = 2 * g + 2
     rng = random.Random(seed)
     root = rng.randrange(p)
-    for _ in range(budget):
-        # an irreducible of degree 2g+1 >= 3 has no rational root, so the
-        # linear factor is automatically coprime to it
-        cand = _separable_candidate(deg - 1, p, rng)
-        if fp_is_irreducible(cand, p):
-            return poly_reduce(poly_mul([-root, 1], cand), p)
-    raise ConstructionError("no witness found")
+    # an irreducible of degree 2g+1 >= 3 has no rational root, so the
+    # linear factor is automatically coprime to it
+    cand = _draw(2 * g + 1, p, rng, budget, lambda f: fp_is_irreducible(f, p))
+    return poly_reduce(poly_mul([-root, 1], cand), p)
 
 
 def _good_reduction_2_witness(spec: LocalSpec, g: int) -> list[int]:

@@ -7,7 +7,6 @@ mod-l monodromy groups are guaranteed to be.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .arith import (
@@ -86,12 +85,14 @@ class Verdict:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """All hypothesis flags, the triple-root evidence, and the resulting verdict.
+    """All hypothesis flags and the triple-root evidence behind a verdict.
 
     The genus is plan.g. screen is the triple-root screen behind the "ss"
     flag, with residual_cofactor 0 when it could not be taken; bad_primes
     pairs each of its found primes that carries a root of multiplicity >= 3
-    with that maximal multiplicity.
+    with that maximal multiplicity. The verdict and the admissibility of the
+    block-pattern primes are read from the flags, so a report copied with
+    other flags is judged again.
     """
 
     plan: PrimePlan
@@ -99,9 +100,15 @@ class VerificationReport:
     screen: TripleRootScreen
     bad_primes: tuple[tuple[int, int], ...]
     mod_2: SymmetricGroupEvidence
-    admissible_derived: bool
     partial_admissible: bool
-    verdict: Verdict | None = None
+
+    @property
+    def admissible_derived(self) -> bool:
+        return all(self.flag(name).ok for name in ("p2", "p3", "p2'", "p3'", "ss"))
+
+    @property
+    def verdict(self) -> Verdict:
+        return verdict(self)
 
     def flag(self, name: str) -> HypothesisFlag:
         for fl in self.flags:
@@ -235,10 +242,7 @@ def check_hypotheses(
     exceptions = set(plan.exceptions)
     good_2 = good_reduction_at_2(f, g)
     if screen is None:
-        try:
-            screen = screen_triple_roots(f, scan_bound)
-        except ValueError:
-            screen = TripleRootScreen(found_primes=(), residual_cofactor=0, scan_bound=scan_bound)
+        screen = screen_triple_roots(f, scan_bound)
     bad_primes = tuple(
         (p, mult)
         for p in screen.found_primes
@@ -266,7 +270,6 @@ def check_hypotheses(
     flag_ss = HypothesisFlag("ss", status, detail)
 
     flags = (flag_tuple, flag_2t, flag_tt, *block_flags.values(), flag_3, flag_s, flag_ss)
-    admissible_derived = all(fl.ok for fl in (*block_flags.values(), flag_ss))
     stray_partial = [p for p, _ in bad_primes if p != 2 and p not in (plan.p_2, plan.p_3)]
     partial_admissible = (
         good_2
@@ -277,16 +280,14 @@ def check_hypotheses(
             for p in stray_partial
         )
     )
-    report = VerificationReport(
+    return VerificationReport(
         plan=plan,
         flags=flags,
         screen=screen,
         bad_primes=bad_primes,
         mod_2=mod_2,
-        admissible_derived=admissible_derived,
         partial_admissible=partial_admissible,
     )
-    return dataclasses.replace(report, verdict=verdict(report))
 
 
 def verdict(report: VerificationReport) -> Verdict:
@@ -297,8 +298,7 @@ def verdict(report: VerificationReport) -> Verdict:
     {3} or {2}. A passing partial set (2T, p2, p3, tuple, derivable
     admissibility) certifies all primes outside {2, 3, q1, q2, q3, p2, p3}
     subject to its per-prime case conditions. Anything less is "none". The
-    verdict reads the flags, partial_admissible and the plan, so a report
-    copied with other flags can be judged again.
+    verdict reads the flags, partial_admissible and the plan alone.
     """
     by_name = {fl.name: fl for fl in report.flags}
     conditional = by_name["ss"].status == "conditional"

@@ -169,6 +169,39 @@ class TestConstructCommand:
         assert main(["construct", *options, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "options, scan, code, digest",
+        [
+            (
+                ["--genus", "6", "--fixture"],
+                [],
+                0,
+                "98fd442be24371b447792a730fed232e5eb25bfffed551bcbd13fc79fbbe7a0a",
+            ),
+            (
+                ["--genus", "6", "--fixture"],
+                ["--scan-bound", "10"],
+                3,
+                "43213131e1e180757584f34091935db076cf300330966a85b8737a5b01a21ed6",
+            ),
+            (
+                ["--genus", "6", "--seed", "0"],
+                [],
+                0,
+                "c30bbf8dd38d6c926db8c41ba99b31fca6a8f65164c803d66f2eda053db36142",
+            ),
+        ],
+    )
+    def test_verify_output_digest_is_pinned(self, tmp_path, capsys, options, scan, code, digest):
+        # construct and verify run at the same scan bound
+        cert, poly = tmp_path / "cert.json", tmp_path / "f.json"
+        files = ["--out", str(cert), "--poly-out", str(poly)]
+        assert main(["construct", *options, *scan, *files]) == code
+        capsys.readouterr()
+        assert main(["verify", "--poly", str(poly), "--cert", str(cert), *scan]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_broken_witness_shows_as_failing_flag(self, tmp_path, monkeypatch):
         real = construct.witness_poly
 
@@ -543,6 +576,30 @@ class TestCertificateRoundTrip:
         assert len(lines) == 1
         assert lines[0].startswith("gspmax: malformed certificate file")
         assert lines[0].endswith("the repair status does not match its screen")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("scan", "found_primes", ["3"]),
+            ("verdict", "kind", "none"),
+            (None, "admissible_derived", False),
+        ],
+    )
+    def test_report_that_does_not_follow_from_its_evidence_is_usage_error(
+        self, fixture_files, tmp_path, capsys, section, key, value
+    ):
+        cert_path, poly_path = fixture_files
+        data = json.loads(cert_path.read_text())
+        report = data["report"]
+        (report if section is None else report[section])[key] = value
+        other = tmp_path / "report.json"
+        other.write_text(json.dumps(data))
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"gspmax: malformed certificate file {other}: ")
 
     def test_unavailable_screen_survives_the_report_round_trip(self):
         # f = x^14 + 3: f' and f'' share the root 0, so no screen can be taken

@@ -17,9 +17,11 @@ from gspmax.arith import (
 )
 from gspmax.cli import MAX_SCAN_BOUND
 from gspmax.construct import (
+    DEFAULT_SCAN_BOUND,
     Certificate,
     ExceptionalGenusError,
     PrimePlan,
+    TripleRootScreen,
     assemble,
     build_certificate,
     fix_multiplicities,
@@ -220,8 +222,8 @@ class TestScreenTripleRoots:
         assert not short.complete
 
     def test_screen_rejects_degenerate_derivatives(self):
-        with pytest.raises(ValueError, match="share a root"):
-            screen_triple_roots([0] * 14 + [1])
+        # x^14: f' and f'' share the root 0, so the screen is unavailable
+        assert screen_triple_roots([0] * 14 + [1]) == TripleRootScreen((), 0, DEFAULT_SCAN_BOUND)
 
 
 def _screen_by_every_prime(common: int, bound: int) -> tuple[tuple[int, ...], int]:

@@ -1,8 +1,9 @@
 """Static checks on the package sources, made with the standard library's ast.
 
 Every module in src/gspmax must use each of its top-level imports and refer
-to each of its top-level private names, so that a removal leaves no
-orphaned import or helper behind.
+to each of its top-level private names, and each of its top-level public
+names must be read somewhere in src/, tests/ or bench/, so that a removal
+leaves no orphaned import, helper or API behind.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gspmax"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gspmax"
 MODULES = sorted(SRC.glob("*.py"), key=lambda path: path.name)
+READERS = [path for part in ("src", "tests", "bench") for path in (ROOT / part).rglob("*.py")]
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -36,9 +39,8 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-def unreferenced_private_names(source: str) -> list[str]:
-    """Top-level _private functions, classes and assignments never read in the module."""
-    tree = ast.parse(source)
+def _defined_names(tree: ast.Module) -> list[str]:
+    """Names bound by top-level functions, classes and assignments."""
     defined = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -47,11 +49,43 @@ def unreferenced_private_names(source: str) -> list[str]:
             defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             defined.append(node.target.id)
+    return defined
+
+
+def unreferenced_private_names(source: str) -> list[str]:
+    """Top-level _private functions, classes and assignments never read in the module."""
+    tree = ast.parse(source)
     read = _read_names(tree)
     return [
         name
-        for name in defined
+        for name in _defined_names(tree)
         if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def names_read(sources: list[str]) -> set[str]:
+    """Every name the sources read: Name loads, attributes and string constants.
+
+    String constants count, so a name looked up with getattr from a table of
+    strings is read.
+    """
+    read = set()
+    for tree in map(ast.parse, sources):
+        read |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def unread_public_names(source: str, read: set[str]) -> list[str]:
+    """Top-level public names of a module that are not in the read set."""
+    return [
+        name
+        for name in _defined_names(ast.parse(source))
+        if not name.startswith("_") and name not in read
     ]
 
 
@@ -73,6 +107,21 @@ def test_the_checks_find_planted_leftovers():
     assert unreferenced_private_names(source) == ["_LIMIT", "_helper", "_Record"]
 
 
+def test_the_public_name_check_finds_a_planted_unread_name():
+    module = (
+        "LIMIT = 3\n"
+        "def helper():\n"
+        "    return LIMIT\n"
+        "def orphan():\n"
+        "    pass\n"
+        "class Record:\n"
+        "    pass\n"
+        "TABLE = {}\n"
+    )
+    user = "import mod\nmod.helper()\nNAMES = ('Record',)\n"
+    assert unread_public_names(module, names_read([module, user])) == ["orphan", "TABLE"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -81,3 +130,13 @@ def test_no_unused_top_level_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_private_name_is_referenced(path):
     assert unreferenced_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_public_name_is_read():
+    read = names_read([path.read_text(encoding="utf-8") for path in READERS])
+    unread = {
+        path.name: names
+        for path in MODULES
+        if (names := unread_public_names(path.read_text(encoding="utf-8"), read))
+    }
+    assert unread == {}

@@ -44,14 +44,14 @@ def _short_scan_report() -> VerificationReport:
 
 
 def _refit(report: VerificationReport, overrides: dict[str, str], **fields):
-    """Copy of a report with some flag statuses replaced and verdict cleared."""
+    """Copy of a report with some flag statuses replaced."""
     flags = tuple(
         dataclasses.replace(fl, status=overrides[fl.name])
         if fl.name in overrides
         else fl
         for fl in report.flags
     )
-    return dataclasses.replace(report, flags=flags, verdict=None, **fields)
+    return dataclasses.replace(report, flags=flags, **fields)
 
 
 class TestGoldenReport:
