@@ -19,7 +19,6 @@ from .construct import (
     RepairRecord,
     TripleRootScreen,
     build_certificate,
-    local_spec_list,
 )
 from .goldbach import GoldbachTuple, two_g_eps_tuples, verify_range
 from .inertia import (
@@ -161,35 +160,21 @@ def _report_to_json(report: VerificationReport) -> dict:
     }
 
 
-def _report_from_json(data: dict, plan: PrimePlan) -> VerificationReport:
-    """Parse what a report cannot derive; the verdict and admissibility must follow from it."""
-    flags = tuple(
-        HypothesisFlag(name=e["name"], status=e["status"], detail=e["detail"])
-        for e in data["flags"]
-    )
-    scan = data["scan"]
-    mod_2 = SymmetricGroupEvidence(
-        full_cycle=bool(data["mod_2"]["full_cycle"]),
-        near_cycle=bool(data["mod_2"]["near_cycle"]),
-        transposition=bool(data["mod_2"]["transposition"]),
-    )
-    report = VerificationReport(
+def _report_from_json(
+    data: dict, plan: PrimePlan, screen: TripleRootScreen
+) -> VerificationReport:
+    """Parse what a report cannot derive; its screen is the repair's."""
+    return VerificationReport(
         plan=plan,
-        flags=flags,
-        screen=TripleRootScreen(
-            found_primes=tuple(_parse_int(p) for p in scan["found_primes"]),
-            residual_cofactor=_parse_int(scan["residual_cofactor"]),
-            scan_bound=_parse_int(scan["bound"]),
-        ),
+        flags=tuple(HypothesisFlag(**e) for e in data["flags"]),
+        screen=screen,
         bad_primes=tuple(
-            (_parse_int(e["prime"]), _parse_int(e["multiplicity"])) for e in scan["bad_primes"]
+            (_parse_int(e["prime"]), _parse_int(e["multiplicity"]))
+            for e in data["scan"]["bad_primes"]
         ),
-        mod_2=mod_2,
+        mod_2=SymmetricGroupEvidence(**{k: bool(v) for k, v in data["mod_2"].items()}),
         partial_admissible=bool(data["partial_admissible"]),
     )
-    if _report_to_json(report) != data:
-        raise ValueError("the stored report does not follow from its flags and screen")
-    return report
 
 
 def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
@@ -213,7 +198,7 @@ def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
                 "count": spec.count,
                 "witness": [str(c) for c in witness],
             }
-            for spec, witness in zip(cert.specs, cert.witnesses)
+            for spec, witness in zip(cert.specs, cert.witnesses, strict=True)
         ],
         "f0": [str(c) for c in cert.f0],
         "N": str(cert.modulus),
@@ -235,18 +220,47 @@ def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
     }
 
 
+def _first_difference(stored: object, expected: object, path: str = "") -> str | None:
+    """The first path, in sorted-key order, at which two JSON values differ, or None.
+
+    Scalars are compared as JSON text, so true is not 1, 3 is not 3.0 and 6
+    is not "6"; a list or object is named by its kind or length, never shown.
+    """
+    if isinstance(stored, dict) and isinstance(expected, dict):
+        for key in sorted(stored.keys() | expected.keys()):
+            inner = f"{path}.{key}" if path else key
+            if key not in stored or key not in expected:
+                return f"{inner}: {'missing' if key in expected else 'unexpected'}"
+            if (found := _first_difference(stored[key], expected[key], inner)) is not None:
+                return found
+        return None
+    if isinstance(stored, list) and isinstance(expected, list):
+        if len(stored) != len(expected):
+            return f"{path}: stored {len(stored)} entries, expected {len(expected)}"
+        for i, (a, b) in enumerate(zip(stored, expected)):
+            if (found := _first_difference(a, b, f"{path}[{i}]")) is not None:
+                return found
+        return None
+    kinds = {dict: "an object", list: "a list"}
+    shown = [kinds.get(type(v)) or json.dumps(v) for v in (stored, expected)]
+    return None if shown[0] == shown[1] else f"{path}: stored {shown[0]}, expected {shown[1]}"
+
+
 def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
     """Rebuild the certificate and report objects from their JSON form.
 
-    verify tests a polynomial for membership in f0 mod N and then evaluates
-    the hypotheses on it; that only speaks for the plan when the specs are
-    the plan's menu (local_spec_list), N is the product of their moduli and
-    f0 matches every witness modulo its spec's modulus, so all three are
-    checked. The length of f0 bounds the genus, and each entry is compared
-    with the menu before any modulus is computed, so the work is bounded by
-    the size of the file. The stored report must serialize back to itself,
-    so its verdict and admissibility follow from its flags, and its screen
-    must be the repair's.
+    Only what cannot be derived is parsed: the genus, tuple, plan, f0 and
+    witnesses, the repair's own fields and screen, and the report's flags,
+    bad primes, mod-2 evidence and partial admissibility. One rule then
+    covers the rest: as JSON text, the file must be exactly what
+    certificate_to_json writes for these objects (so true is not 1 and 6 is
+    not "6"), or the first differing path is named. So the specs are the plan's menu, N is their moduli's product,
+    the repair status, verdict and admissibility follow from their evidence,
+    and the report's screen is the repair's. Outside that rule, f0 must have
+    2g + 3 coefficients, checked before the plan is built, and must match
+    each witness modulo its spec's modulus, checked after the round trip.
+    Every modulus comes from the plan's menu, never from the file, so the
+    work stays bounded by the size of the file.
     """
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
@@ -254,41 +268,8 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
     f0 = tuple(_parse_int(c) for c in data["f0"])
     if len(f0) != 2 * g + 3:
         raise ValueError("f0 must have 2g + 3 coefficients")
-    t = data["tuple"]
-    tup = GoldbachTuple(
-        g=g,
-        q1=_parse_int(t["q1"]),
-        q2=_parse_int(t["q2"]),
-        q4=_parse_int(t["q4"]),
-        q5=_parse_int(t["q5"]),
-        q3=_parse_int(t["q3"]),
-    )
-    plan = PrimePlan(
-        g=g, prime_tuple=tup, **{name: _parse_int(data["plan"][name]) for name in PLAN_FIELDS}
-    )
-    specs = local_spec_list(plan)
-    entries = data["specs"]
-    if len(entries) != len(specs):
-        raise ValueError("the specs are not the local conditions of the plan")
-    witnesses = []
-    for entry, spec in zip(entries, specs):
-        fields = (
-            _parse_int(entry["prime"]),
-            entry["kind"],
-            _parse_int(entry["m"]),
-            None if entry.get("t") is None else _parse_int(entry["t"]),
-            tuple(_parse_int(q) for q in entry.get("qs") or ()),
-            None if entry.get("count") is None else _parse_int(entry["count"]),
-        )
-        if fields != (spec.p, spec.kind, spec.m, spec.t, spec.qs, spec.count):
-            raise ValueError("the specs are not the local conditions of the plan")
-        if str(spec.modulus) != entry["modulus"]:
-            raise ValueError(f"modulus mismatch in the witness entry at {spec.p}")
-        witness = tuple(_parse_int(c) for c in entry["witness"])
-        pairs = itertools.zip_longest(f0, witness, fillvalue=0)
-        if any((a - b) % spec.modulus for a, b in pairs):
-            raise ValueError(f"f0 does not match the witness at {spec.p} mod {spec.modulus}")
-        witnesses.append(witness)
+    tup = GoldbachTuple(g=g, **{q: _parse_int(v) for q, v in data["tuple"].items()})
+    plan = PrimePlan(g=g, prime_tuple=tup, **{k: _parse_int(v) for k, v in data["plan"].items()})
     rd = data["repair"]
     repair = RepairRecord(
         f=tuple(_parse_int(c) for c in rd["f"]),
@@ -306,14 +287,23 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
             scan_bound=_parse_int(rd["scan_bound"]),
         ),
     )
-    if rd["status"] != repair.status:
-        raise ValueError("the repair status does not match its screen")
-    cert = Certificate(plan=plan, witnesses=tuple(witnesses), f0=f0, repair=repair)
-    if _parse_int(data["N"]) != cert.modulus:
-        raise ValueError("N is not the product of the spec moduli")
-    report = _report_from_json(data["report"], plan)
-    if report.screen != repair.screen:
-        raise ValueError("the report's triple-root screen differs from the repair's")
+    cert = Certificate(
+        plan=plan,
+        witnesses=tuple(tuple(_parse_int(c) for c in e["witness"]) for e in data["specs"]),
+        f0=f0,
+        repair=repair,
+    )
+    report = _report_from_json(data["report"], plan, repair.screen)
+    specs = cert.specs
+    if len(cert.witnesses) != len(specs):  # certificate_to_json pairs each spec with a witness
+        raise ValueError(f"specs: stored {len(cert.witnesses)} entries, expected {len(specs)}")
+    expected = certificate_to_json(cert, report)
+    if json.dumps(data, sort_keys=True) != json.dumps(expected, sort_keys=True):
+        raise ValueError(_first_difference(data, expected))
+    for spec, witness in zip(specs, cert.witnesses, strict=True):
+        pairs = itertools.zip_longest(f0, witness, fillvalue=0)
+        if any((a - b) % spec.modulus for a, b in pairs):
+            raise ValueError(f"f0 does not match the witness at {spec.p} mod {spec.modulus}")
     return cert, report
 
 

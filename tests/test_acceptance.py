@@ -17,7 +17,6 @@ from gspmax.arith import (
 from gspmax.cli import main
 from gspmax.construct import (
     assemble,
-    build_certificate,
     local_spec_list,
     plan_primes,
     screen_triple_roots,

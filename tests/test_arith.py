@@ -12,7 +12,6 @@ from gspmax.arith import (
     fp_factor,
     fp_gcd,
     fp_is_irreducible,
-    fp_monic,
     fp_pow_mod,
     fp_squarefree_decomposition,
     hensel_lift_factorization,

@@ -7,6 +7,7 @@ import json
 import random
 import tempfile
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,13 +18,11 @@ from gspmax.arith import poly_mul
 from gspmax.cli import (
     MAX_SCAN_BOUND,
     SCAN_BOUND_ENV,
-    _report_from_json,
-    _report_to_json,
     certificate_from_json,
     certificate_to_json,
     main,
 )
-from gspmax.localtypes import FIXTURE_SEED
+from gspmax.construct import TripleRootScreen
 from gspmax.verify import FLAG_NAMES, check_hypotheses
 
 
@@ -39,6 +38,23 @@ def _flag_statuses(output: str) -> dict[str, str]:
 def _write_poly(path, coeffs) -> None:
     data = {"degree": len(coeffs) - 1, "coeffs": [str(c) for c in coeffs]}
     path.write_text(json.dumps(data))
+
+
+_DROP = object()
+
+
+def _mutated_text(data, path, replacement) -> str:
+    """The JSON text of data with the value at path dropped or replaced."""
+    if not path:
+        return "" if replacement is _DROP else json.dumps(replacement)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return json.dumps(data)
 
 
 @pytest.fixture(scope="module")
@@ -561,10 +577,15 @@ class TestCertificateRoundTrip:
         assert certificate_to_json(cert, report) == data
 
     @pytest.mark.parametrize(
-        "key, value", [("status", "conditional"), ("residual_cofactor", "6")]
+        "key, value, message",
+        [
+            ("status", "conditional", 'repair.status: stored "conditional", expected "clean"'),
+            ("residual_cofactor", "6", 'repair.status: stored "clean", expected "conditional"'),
+        ],
+        ids=["status-conditional", "residual_cofactor-6"],
     )
     def test_status_that_disagrees_with_the_screen_is_usage_error(
-        self, fixture_files, tmp_path, capsys, key, value
+        self, fixture_files, tmp_path, capsys, key, value, message
     ):
         cert_path, poly_path = fixture_files
         data = json.loads(cert_path.read_text())
@@ -575,7 +596,7 @@ class TestCertificateRoundTrip:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("gspmax: malformed certificate file")
-        assert lines[0].endswith("the repair status does not match its screen")
+        assert lines[0] == f"gspmax: malformed certificate file {other}: {message}"
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -601,15 +622,18 @@ class TestCertificateRoundTrip:
         assert len(lines) == 1
         assert lines[0].startswith(f"gspmax: malformed certificate file {other}: ")
 
-    def test_unavailable_screen_survives_the_report_round_trip(self):
+    def test_unavailable_screen_survives_the_report_round_trip(self, fixture_files):
         # f = x^14 + 3: f' and f'' share the root 0, so no screen can be taken
-        plan = construct.plan_primes(6, goldbach.two_g_eps_tuples(6)[0], seed=FIXTURE_SEED)
-        report = check_hypotheses([3] + [0] * 13 + [1], plan, scan_bound=10**3)
-        data = _report_to_json(report)
-        assert data["scan"] == {
+        cert, _ = certificate_from_json(json.loads(fixture_files[0].read_text()))
+        f = (3,) + (0,) * 13 + (1,)
+        report = check_hypotheses(list(f), cert.plan, scan_bound=10**3)
+        assert report.screen == TripleRootScreen((), 0, 10**3)
+        cert = replace(cert, repair=replace(cert.repair, f=f, screen=report.screen))
+        data = certificate_to_json(cert, report)
+        assert data["report"]["scan"] == {
             "bound": 10**3, "found_primes": [], "bad_primes": [], "residual_cofactor": "0"
         }
-        assert _report_from_json(json.loads(json.dumps(data)), plan) == report
+        assert certificate_from_json(json.loads(json.dumps(data))) == (cert, report)
 
     def test_unknown_schema_is_usage_error(self, fixture_files, tmp_path, capsys):
         cert_path, poly_path = fixture_files
@@ -631,25 +655,63 @@ class TestCertificateRoundTrip:
 
 
 class TestCertifiedClass:
+    # each id names the defect; {N} in a message is the certificate's own N
     @pytest.mark.parametrize(
-        "field, value, message",
+        "path, value, message",
         [
-            ("N", "0", "N is not the product of the spec moduli"),
-            ("N", "-5", "N is not the product of the spec moduli"),
-            ("N", "1", "N is not the product of the spec moduli"),
-            ("specs", [], "the specs are not the local conditions of the plan"),
-            ("genus", "100000000000", "f0 must have 2g + 3 coefficients"),
-            ("f0", ["1"], "f0 must have 2g + 3 coefficients"),
+            pytest.param(
+                ("N",), "0", 'N: stored "0", expected "{N}"',
+                id="N-0-N is not the product of the spec moduli",
+            ),
+            pytest.param(
+                ("N",), "-5", 'N: stored "-5", expected "{N}"',
+                id="N--5-N is not the product of the spec moduli",
+            ),
+            pytest.param(
+                ("N",), "1", 'N: stored "1", expected "{N}"',
+                id="N-1-N is not the product of the spec moduli",
+            ),
+            pytest.param(
+                ("specs",), [], "specs: stored 0 entries, expected 11",
+                id="specs-value3-the specs are not the local conditions of the plan",
+            ),
+            pytest.param(
+                ("genus",), "100000000000", "f0 must have 2g + 3 coefficients",
+                id="genus-100000000000-f0 must have 2g + 3 coefficients",
+            ),
+            pytest.param(
+                ("f0",), ["1"], "f0 must have 2g + 3 coefficients",
+                id="f0-value5-f0 must have 2g + 3 coefficients",
+            ),
+            pytest.param(
+                ("specs", -1), _DROP, "specs: stored 10 entries, expected 11",
+                id="specs-without-the-2-adic-entry",
+            ),
+            pytest.param(
+                ("comment",), "x", "comment: unexpected", id="unknown-top-level-key"
+            ),
+            pytest.param(
+                ("specs", 0, "note"), "x", "specs[0].note: unexpected",
+                id="unknown-key-in-a-spec-entry",
+            ),
+            pytest.param(
+                ("genus",), "6", 'genus: stored "6", expected 6', id="genus-as-a-string"
+            ),
+            pytest.param(
+                ("report", "partial_admissible"), 1,
+                "report.partial_admissible: stored 1, expected true",
+                id="partial-admissibility-as-an-integer",
+            ),
         ],
     )
     def test_class_that_misses_the_plan_is_usage_error(
-        self, seed0_files, tmp_path, capsys, field, value, message
+        self, seed0_files, tmp_path, capsys, path, value, message
     ):
         cert_path, poly_path = seed0_files[6]
         data = json.loads(cert_path.read_text())
-        data[field] = value
+        message = message.format(N=data["N"])
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(_mutated_text(data, path, value))
         assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"gspmax: malformed certificate file {bad}: {message}\n"
@@ -662,20 +724,19 @@ class TestCertifiedClass:
     def test_huge_exponent_is_rejected_before_any_power(
         self, fixture_files, tmp_path, capsys, kind, fields
     ):
-        # p ** m for these entries would not finish; the menu comparison
-        # rejects them first
+        # p ** m for these entries would not finish; every modulus comes from
+        # the plan's menu, and the round trip rejects the stored exponent
         cert_path, poly_path = fixture_files
         data = json.loads(cert_path.read_text())
-        next(e for e in data["specs"] if e["kind"] == kind).update(fields)
+        i, entry = next((i, e) for i, e in enumerate(data["specs"]) if e["kind"] == kind)
+        message = f"specs[{i}].m: stored {fields['m']}, expected {entry['m']}"
+        entry.update(fields)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         start = time.perf_counter()
         assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
         assert time.perf_counter() - start < 1
-        assert capsys.readouterr().err == (
-            f"gspmax: malformed certificate file {bad}: "
-            "the specs are not the local conditions of the plan\n"
-        )
+        assert capsys.readouterr().err == f"gspmax: malformed certificate file {bad}: {message}\n"
 
     def test_altered_witness_is_usage_error(self, seed0_files, tmp_path, capsys):
         cert_path, poly_path = seed0_files[6]
@@ -713,7 +774,6 @@ class TestCertifiedClass:
         assert "malformed" not in capsys.readouterr().err
 
 
-_DROP = object()
 _REPLACEMENTS = [_DROP, 0, -5, 10**11, "100000000000", "9" * 4300, "x", None, 1.5, True, [], {}]
 
 # (file, key path) pairs to mutate; -1 is the last item of a list, so
@@ -723,7 +783,9 @@ _TARGETS = (
     + [("cert", path) for path in [
         (), ("schema",), ("genus",), ("N",), ("f0",), ("f0", -1), ("specs",), ("specs", 0),
         ("tuple",), ("tuple", "q3"), ("plan",), ("plan", "p_2"), ("plan", "p_irr"),
-        ("repair",), ("repair", "f"), ("repair", "z"), ("report",), ("report", "flags"),
+        ("repair",), ("repair", "f"), ("repair", "z"), ("repair", "status"), ("report",),
+        ("report", "flags"), ("report", "scan", "found_primes"), ("report", "verdict", "text"),
+        ("report", "mod_2", "full_cycle"),
     ]]
     + [
         ("cert", ("specs", i, key))
@@ -731,20 +793,6 @@ _TARGETS = (
         for key in ("prime", "kind", "m", "t", "qs", "count", "modulus", "witness")
     ]
 )
-
-
-def _mutated_text(data, path, replacement) -> str:
-    """The JSON text of data with the value at path dropped or replaced."""
-    if not path:
-        return "" if replacement is _DROP else json.dumps(replacement)
-    parent = data
-    for key in path[:-1]:
-        parent = parent[key]
-    if replacement is _DROP:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = replacement
-    return json.dumps(data)
 
 
 class TestReaderFuzz:

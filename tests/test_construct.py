@@ -18,7 +18,6 @@ from gspmax.arith import (
 from gspmax.cli import MAX_SCAN_BOUND
 from gspmax.construct import (
     DEFAULT_SCAN_BOUND,
-    Certificate,
     ExceptionalGenusError,
     PrimePlan,
     TripleRootScreen,

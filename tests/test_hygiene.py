@@ -1,9 +1,10 @@
 """Static checks on the package sources, made with the standard library's ast.
 
-Every module in src/gspmax must use each of its top-level imports and refer
-to each of its top-level private names, and each of its top-level public
-names must be read somewhere in src/, tests/ or bench/, so that a removal
-leaves no orphaned import, helper or API behind.
+Every module in src/gspmax, tests/ and bench/ must use each of its top-level
+imports. Every module in src/gspmax must also refer to each of its top-level
+private names, and each of its top-level public names must be read somewhere
+in src/, tests/ or bench/, so that a removal leaves no orphaned import,
+helper or API behind.
 """
 
 import ast
@@ -15,6 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gspmax"
 MODULES = sorted(SRC.glob("*.py"), key=lambda path: path.name)
 READERS = [path for part in ("src", "tests", "bench") for path in (ROOT / part).rglob("*.py")]
+# src modules are named by file name, the test and bench modules from the root
+IMPORTERS = {path.name: path for path in MODULES} | {
+    str(path.relative_to(ROOT)): path
+    for path in sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+}
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -122,9 +128,9 @@ def test_the_public_name_check_finds_a_planted_unread_name():
     assert unread_public_names(module, names_read([module, user])) == ["orphan", "TABLE"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
-def test_no_unused_top_level_import(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("name", IMPORTERS)
+def test_no_unused_top_level_import(name):
+    assert unused_imports(IMPORTERS[name].read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gspmax.arith import (
     fp_factor,
     fp_is_irreducible,
+    poly_compose_shift,
     poly_mul,
     poly_reduce,
     poly_trim,
@@ -299,3 +301,35 @@ def test_trim_and_reduce_on_fixture_lifts():
     f = poly_trim(f)
     w = recognize_type(f, 19, 1, [7, 7])
     assert w is not None and w.shifts == (0, 1)
+
+
+def _taylor_type(f: list[int], p: int, t: int, s: int, q: int) -> bool:
+    """The type test at a rational root s of multiplicity q of f mod p, by Taylor shift.
+
+    The Weierstrass factor P of f(x + s) at that root is monic of degree q
+    with P = x^q mod p. By uniqueness of that factorization over Z/p^t,
+    P = x^q mod p^t exactly when the coefficients a_0 ... a_(q-1) of
+    f(x + s) are 0 mod p^t, and v(P(0)) = v(a_0) because the complementary
+    factor is a unit at 0. So P is t-Eisenstein exactly when a_0 ... a_(q-1)
+    are 0 mod p^t and a_0 is not 0 mod p^(t+1).
+    """
+    a = poly_compose_shift(f, s, p ** (t + 1))
+    return all(c % p**t == 0 for c in a[:q]) and a[0] % p ** (t + 1) != 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 11]), st.integers(1, 3), st.data())
+def test_taylor_shift_criterion_matches_the_lifted_block_test(p, t, data):
+    # f(x) = g(x - s) mod p^(t+1) with g = (c_0 + ... + c_(q-1) x^(q-1)) + x^q H,
+    # every c_i divisible by p and H monic, separable mod p with H(0) a unit,
+    # so s is the only repeated root of f mod p and has multiplicity q
+    modulus = p ** (t + 1)
+    q = data.draw(st.sampled_from([q for q in (2, 3, 5) if q < p]))
+    s = data.draw(st.integers(0, p - 1))
+    digits = st.integers(0, modulus - 1)
+    low = [p ** data.draw(st.integers(1, t + 1)) * data.draw(digits) % modulus for _ in range(q)]
+    h = data.draw(st.lists(digits, max_size=4)) + [1]
+    assume(h[0] % p)
+    f = poly_compose_shift(low + h, -s, modulus)
+    assume(multiplicity_profile(f, p) == sorted([1] * (len(h) - 1) + [q]))
+    assert (recognize_type(f, p, t, [q]) is not None) == _taylor_type(f, p, t, s, q)
