@@ -588,6 +588,10 @@ def hensel_lift_factorization(
     f must be monic with f ≡ prod(factors) mod p, the factors monic and
     pairwise coprime mod p. Returns the unique lifts, coefficients in
     [0, p^m).
+
+    Kept only as the reference the tests compare localtypes.recognize_type
+    against; it goes with fp_extgcd once the benchmark stops tracing it by
+    name (ROADMAP item 1).
     """
     if not f or f[-1] % p != 1:
         raise ValueError("f must be monic")

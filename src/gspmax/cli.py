@@ -6,6 +6,7 @@ import argparse
 import collections
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -19,6 +20,8 @@ from .construct import (
     RepairRecord,
     TripleRootScreen,
     build_certificate,
+    local_spec_list,
+    repaired_poly,
 )
 from .goldbach import GoldbachTuple, two_g_eps_tuples, verify_range
 from .inertia import (
@@ -65,17 +68,20 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
+def _shown(value: object) -> str:
+    """A JSON value as a message shows it: a scalar as JSON text, a list or object by its kind."""
+    return {dict: "an object", list: "a list"}.get(type(value)) or json.dumps(value)
+
+
 def _parse_int(value: object) -> int:
     """Accept a native int or a decimal string, rejecting everything else."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a decimal integer: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         body = value[1:] if value.startswith("-") else value
         if body.isdigit():
             return int(value)
-    raise ValueError(f"not a decimal integer: {value!r}")
+    raise ValueError(f"not a decimal integer: {_shown(value)}")
 
 
 def _read_json(path: str) -> object:
@@ -241,8 +247,7 @@ def _first_difference(stored: object, expected: object, path: str = "") -> str |
             if (found := _first_difference(a, b, f"{path}[{i}]")) is not None:
                 return found
         return None
-    kinds = {dict: "an object", list: "a list"}
-    shown = [kinds.get(type(v)) or json.dumps(v) for v in (stored, expected)]
+    shown = [_shown(v) for v in (stored, expected)]
     return None if shown[0] == shown[1] else f"{path}: stored {shown[0]}, expected {shown[1]}"
 
 
@@ -250,17 +255,19 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
     """Rebuild the certificate and report objects from their JSON form.
 
     Only what cannot be derived is parsed: the genus, tuple, plan, f0 and
-    witnesses, the repair's own fields and screen, and the report's flags,
-    bad primes, mod-2 evidence and partial admissibility. One rule then
-    covers the rest: as JSON text, the file must be exactly what
-    certificate_to_json writes for these objects (so true is not 1 and 6 is
-    not "6"), or the first differing path is named. So the specs are the plan's menu, N is their moduli's product,
-    the repair status, verdict and admissibility follow from their evidence,
-    and the report's screen is the repair's. Outside that rule, f0 must have
-    2g + 3 coefficients, checked before the plan is built, and must match
-    each witness modulo its spec's modulus, checked after the round trip.
-    Every modulus comes from the plan's menu, never from the file, so the
-    work stays bounded by the size of the file.
+    witnesses, the repair's actions, repaired primes and screen, and the
+    report's flags, bad primes, mod-2 evidence and partial admissibility.
+    One rule then covers the rest: as JSON text, the file must be exactly
+    what certificate_to_json writes for these objects (so true is not 1 and
+    6 is not "6"), or the first differing path is named. So the specs are
+    the plan's menu, N is their moduli's product, the repaired f and n_tilde
+    follow from f0, N and the repair's actions (repaired_poly), the status,
+    verdict and admissibility follow from their evidence, and the report's
+    screen is the repair's. Outside that rule, f0 must have 2g + 3
+    coefficients, checked before the plan is built, and must match each
+    witness modulo its spec's modulus, checked after the round trip. Every
+    modulus comes from the plan's menu, never from the file, so the work
+    stays bounded by the size of the file.
     """
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
@@ -270,16 +277,19 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         raise ValueError("f0 must have 2g + 3 coefficients")
     tup = GoldbachTuple(g=g, **{q: _parse_int(v) for q, v in data["tuple"].items()})
     plan = PrimePlan(g=g, prime_tuple=tup, **{k: _parse_int(v) for k, v in data["plan"].items()})
+    specs = local_spec_list(plan)
     rd = data["repair"]
+    pre_stage = tuple(
+        (_parse_int(e["prime"]), _parse_int(e["u"]), _parse_int(e["w"])) for e in rd["pre_stage"]
+    )
+    nudges, z = _parse_int(rd["linear_nudges"]), _parse_int(rd["z"])
+    f, n_tilde = repaired_poly(f0, math.prod(s.modulus for s in specs), g, pre_stage, nudges, z)
     repair = RepairRecord(
-        f=tuple(_parse_int(c) for c in rd["f"]),
-        n_tilde=_parse_int(rd["n_tilde"]),
-        pre_stage=tuple(
-            (_parse_int(e["prime"]), _parse_int(e["u"]), _parse_int(e["w"]))
-            for e in rd["pre_stage"]
-        ),
-        linear_nudges=_parse_int(rd["linear_nudges"]),
-        z=_parse_int(rd["z"]),
+        f=tuple(f),
+        n_tilde=n_tilde,
+        pre_stage=pre_stage,
+        linear_nudges=nudges,
+        z=z,
         repaired_primes=tuple(_parse_int(p) for p in rd["repaired_primes"]),
         screen=TripleRootScreen(
             found_primes=tuple(_parse_int(p) for p in rd["found_primes"]),
@@ -294,7 +304,6 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         repair=repair,
     )
     report = _report_from_json(data["report"], plan, repair.screen)
-    specs = cert.specs
     if len(cert.witnesses) != len(specs):  # certificate_to_json pairs each spec with a witness
         raise ValueError(f"specs: stored {len(cert.witnesses)} entries, expected {len(specs)}")
     expected = certificate_to_json(cert, report)
@@ -503,7 +512,6 @@ def cmd_inertia(args: argparse.Namespace) -> int:
     else:
         blocks = tuple(m for m in profile if m >= 2)
         candidates = [(t, blocks) for t in (1, 2)] if blocks else []
-    hit = None
     witness = None
     for t, qs in candidates:
         try:
@@ -511,10 +519,8 @@ def cmd_inertia(args: argparse.Namespace) -> int:
         except ValueError as err:
             raise _CliError(EXIT_USAGE, str(err)) from err
         if witness is not None:
-            hit = (t, qs)
             break
     if witness is not None:
-        t, qs = hit
         label = ",".join(str(q) for q in qs)
         print(f"type {t}-{{{label}}} recognized at {p}")
         print(f"block shifts: {', '.join(str(s) for s in witness.shifts)}")

@@ -313,7 +313,8 @@ class RepairRecord:
     f is the adjusted polynomial, congruent to the input mod N. pre_stage
     lists (p, u, w) adjustments by N*(u*x + w) applied at small primes,
     linear_nudges counts how many times n_tilde was added to the linear
-    coefficient, and z is the final constant shift in units of n_tilde.
+    coefficient, and z is the final constant shift in units of n_tilde; f
+    and n_tilde follow from these actions by repaired_poly.
     screen is the triple-root screen of the final f; construct's report
     reuses it, and a certificate stores its fields. status is "clean" when
     that screen is complete and "conditional" when a composite cofactor
@@ -362,6 +363,25 @@ def _clearing_shift(f: list[int], p: int, g: int) -> int:
     raise ConstructionError(f"no constant shift clears the multiplicity-3 roots mod {p}")
 
 
+def repaired_poly(
+    f0: tuple[int, ...] | list[int], n: int, g: int, pre_stage: tuple, linear_nudges: int, z: int
+) -> tuple[list[int], int]:
+    """The polynomial that a repair's actions make of f0, and their step n_tilde.
+
+    n_tilde is n times every prime p <= 2g - 1 that does not divide n, and
+    f = f0 + n*(u*x + w) + linear_nudges*n_tilde*x + z*n_tilde, where (u, w)
+    is the CRT of the pre-stage entries (p, u_p, w_p), or (0, 0) without any.
+    """
+    n_tilde = n * math.prod(p for p in primes_up_to(2 * g - 1) if n % p != 0)
+    f = list(f0)
+    if pre_stage:
+        f[1] += n * crt_integers([(u, p) for p, u, _ in pre_stage])
+        f[0] += n * crt_integers([(w, p) for p, _, w in pre_stage])
+    f[1] += linear_nudges * n_tilde
+    f[0] += z * n_tilde
+    return f, n_tilde
+
+
 def fix_multiplicities(
     f0: list[int],
     n: int,
@@ -381,9 +401,8 @@ def fix_multiplicities(
     Raises ConstructionError when a triple root sits at an unlisted prime
     dividing n, or when no linear or constant shift clears one.
     """
-    deg = 2 * g + 2
     f = list(f0)
-    if poly_deg(poly_trim(f)) != deg or f[-1] != 1:
+    if poly_deg(poly_trim(f)) != 2 * g + 2 or f[-1] != 1:
         raise ValueError("f0 must be monic of degree 2g + 2")
     if n < 1:
         raise ValueError("n must be positive")
@@ -391,24 +410,20 @@ def fix_multiplicities(
         if not is_prime(p) or n % p != 0:
             raise ValueError("exceptions must be primes dividing n")
 
-    small = [p for p in primes_up_to(2 * g - 1) if n % p != 0]
-    pre_fixes = [
-        (p, *_clear_small_prime(f, n, p)) for p in small if max(multiplicity_profile(f, p)) >= 3
-    ]
-    if pre_fixes:
-        u = crt_integers([(u_p, p) for p, u_p, _ in pre_fixes])
-        w = crt_integers([(w_p, p) for p, _, w_p in pre_fixes])
-        f[1] += n * u
-        f[0] += n * w
+    pre_fixes = tuple(
+        (p, *_clear_small_prime(f, n, p))
+        for p in primes_up_to(2 * g - 1)
+        if n % p != 0 and max(multiplicity_profile(f, p)) >= 3
+    )
 
     # Res(f' + c, f'') is a polynomial in c of degree 2g with a nonzero
     # leading coefficient, so one of the first 2g + 1 nudges makes it nonzero.
-    n_tilde = n * math.prod(small)
+    f, n_tilde = repaired_poly(f0, n, g, pre_fixes, 0, 0)
     skip = set(exceptions) | {2}
     nudges = 0
     while not (screen := screen_triple_roots(f, scan_bound)).residual_cofactor:
-        f[1] += n_tilde
         nudges += 1
+        f, _ = repaired_poly(f0, n, g, pre_fixes, nudges, 0)
     for p in screen.found_primes:
         if n % p == 0 and p not in skip and max(multiplicity_profile(f, p)) >= 3:
             raise ConstructionError(f"unrepairable multiplicity-3 root at {p} dividing n")
@@ -433,13 +448,12 @@ def fix_multiplicities(
         z = crt_integers(
             [((c * pow(n_tilde, -1, p)) % p, p) for p, c in constrained.items()]
         )
-        shifted = list(f)
-        shifted[0] += z * n_tilde
+        shifted, _ = repaired_poly(f0, n, g, pre_fixes, nudges, z)
         screen = screen_triple_roots(shifted, scan_bound)
     return RepairRecord(
         f=tuple(shifted),
         n_tilde=n_tilde,
-        pre_stage=tuple(pre_fixes),
+        pre_stage=pre_fixes,
         linear_nudges=nudges,
         z=z,
         repaired_primes=tuple(sorted(constrained)),
@@ -505,8 +519,6 @@ def build_certificate(
         exceptions=plan.exceptions,
         scan_bound=scan_bound,
     )
-    if any((a - b) % modulus != 0 for a, b in zip(repair.f, f0)):
-        raise RuntimeError("internal error: repair left the congruence class")
     return Certificate(
         plan=plan,
         witnesses=tuple(tuple(w) for w in witnesses),

@@ -5,7 +5,8 @@ and v_p(a_i) >= t for the middle coefficients. A polynomial has type
 t-{q1,...,qk} at p when, after reduction mod p, it factors as a separable
 cofactor times distinct rational roots of multiplicities q1..qk whose
 Hensel-lifted blocks are shifted t-Eisenstein polynomials. Membership in
-either class only depends on the polynomial mod p^(t+1).
+either class only depends on the polynomial mod p^(t+1); recognize_type
+reads the type off the Taylor coefficients of f at each repeated root.
 
 This module recognizes those shapes, manufactures witness polynomials
 realizing a requested shape, and checks the 2-adic congruence family that
@@ -22,7 +23,6 @@ from .arith import (
     fp_gcd,
     fp_is_irreducible,
     fp_squarefree_decomposition,
-    hensel_lift_factorization,
     is_prime,
     poly_compose_shift,
     poly_deg,
@@ -92,46 +92,34 @@ class LocalSpec:
 class TypeWitness:
     """Certificate that f has type t-{q1,...,qk} at p.
 
-    shifts[i] is the rational residue at which the i-th block sits; blocks[i]
-    is the Hensel-lifted factor mod p^(t+1) (so blocks[i](x + shifts[i]) is
-    t-Eisenstein); cofactor is the lifted separable complement.
+    shifts[i] is a rational root of f mod p of multiplicity qs[i], in
+    increasing order of shift, and the Hensel block of f at shifts[i],
+    moved to the origin, is t-Eisenstein.
     """
 
     p: int
     t: int
     shifts: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    cofactor: tuple[int, ...]
-
-    @property
-    def qs(self) -> tuple[int, ...]:
-        return tuple(len(b) - 1 for b in self.blocks)
+    qs: tuple[int, ...]
 
 
-def is_t_eisenstein(f: list[int], p: int, t: int, modulus: int | None = None) -> bool:
+def is_t_eisenstein(f: list[int], p: int, t: int) -> bool:
     """True iff monic f is t-Eisenstein at p.
 
     Decidable from the coefficients mod p^(t+1), so f may be given exactly or
-    as residues. When the residue modulus is supplied it must carry at least
-    mod-p^(t+1) information, otherwise the answer would be ill-defined.
+    as residues mod any multiple of p^(t+1).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if t < 1:
         raise ValueError("t must be >= 1")
-    pt1 = p ** (t + 1)
-    if modulus is not None and modulus % pt1 != 0:
-        raise ValueError("insufficient modulus")
+    pt = p**t
     f = poly_trim(list(f))
     if poly_deg(f) < 1:
         return False
-    if f[-1] % pt1 != 1:
+    if f[-1] % (pt * p) != 1:
         raise ValueError("f must be monic")
-    pt = p**t
-    a0 = f[0]
-    if a0 % pt != 0 or (a0 // pt) % p == 0:
-        return False
-    return all(c % pt == 0 for c in f[1:-1])
+    return f[0] % (pt * p) != 0 and all(c % pt == 0 for c in f[:-1])
 
 
 def multiplicity_profile(f: list[int], p: int) -> list[int]:
@@ -155,10 +143,13 @@ def recognize_type(f: list[int], p: int, t: int, qs: list[int]) -> TypeWitness |
     """Recognize type t-{qs} at p, returning a witness or None.
 
     The reduction mod p must factor as a separable part times rational
-    repeated roots whose multiplicity multiset equals qs; the grouped
-    factorization is Hensel-lifted mod p^(t+1) and each block, shifted to the
-    origin, must be t-Eisenstein. Only F_p-rational shift points are
-    accepted.
+    repeated roots whose multiplicity multiset equals qs. The block at such
+    a root s of multiplicity q is t-Eisenstein exactly when the coefficients
+    a_0 ... a_(q-1) of f(x + s) are 0 mod p^t and a_0 is not 0 mod p^(t+1).
+    This is exact: the Hensel (Weierstrass) factor P of f(x + s) at 0 is
+    monic of degree q with P = x^q mod p; by the uniqueness of that
+    factorization over Z/p^t, P = x^q mod p^t exactly when a_0 ... a_(q-1)
+    are 0 mod p^t, and v(P(0)) = v(a_0) as the cofactor is a unit at 0.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -170,14 +161,10 @@ def recognize_type(f: list[int], p: int, t: int, qs: list[int]) -> TypeWitness |
     if not f or f[-1] != 1:
         raise ValueError("f must be monic")
     modulus = p ** (t + 1)
-    fm = [c % modulus for c in f]
-    fbar = poly_reduce(fm, p)
-
+    fm = poly_reduce(f, modulus)
     found: list[tuple[int, int]] = []  # (shift, multiplicity)
-    cofactor_bar = [1]
-    for piece, e in fp_squarefree_decomposition(fbar, p):
+    for piece, e in fp_squarefree_decomposition(poly_reduce(fm, p), p):
         if e == 1:
-            cofactor_bar = piece
             continue
         # every repeated factor must be linear (an F_p-rational root)
         for irr, _ in fp_factor(piece, p).factors:
@@ -187,29 +174,11 @@ def recognize_type(f: list[int], p: int, t: int, qs: list[int]) -> TypeWitness |
     if sorted(e for _, e in found) != sorted(qs):
         return None
     found.sort()
-
-    grouped = []
-    for shift, e in found:
-        block = [1]
-        lin = [(-shift) % p, 1]
-        for _ in range(e):
-            block = poly_mul(block, lin, p)
-        grouped.append(block)
-    parts = grouped + ([cofactor_bar] if poly_deg(cofactor_bar) >= 1 else [])
-    lifted = hensel_lift_factorization(fm, parts, p, t + 1)
-    lifted_blocks = lifted[: len(grouped)]
-    lifted_cof = lifted[len(grouped)] if len(lifted) > len(grouped) else [1]
-    for (shift, _), block in zip(found, lifted_blocks):
-        shifted = poly_compose_shift(block, shift, modulus)
-        if not is_t_eisenstein(shifted, p, t, modulus=modulus):
+    for shift, q in found:
+        taylor = poly_compose_shift(fm, shift, modulus)
+        if not is_t_eisenstein(taylor[:q] + [1], p, t):
             return None
-    return TypeWitness(
-        p=p,
-        t=t,
-        shifts=tuple(s for s, _ in found),
-        blocks=tuple(tuple(b) for b in lifted_blocks),
-        cofactor=tuple(lifted_cof),
-    )
+    return TypeWitness(p, t, tuple(s for s, _ in found), tuple(q for _, q in found))
 
 
 def good_reduction_at_2(f: list[int], g: int) -> bool:

@@ -51,6 +51,10 @@ class HypothesisFlag:
     detail: str
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, str) for v in (self.name, self.status, self.detail)):
+            raise ValueError("flag name, status and detail must be strings")
+        if self.name not in FLAG_NAMES:
+            raise ValueError(f"unknown flag name {self.name!r}")
         if self.status not in ("pass", "fail", "conditional"):
             raise ValueError(f"unknown flag status {self.status!r}")
 
@@ -101,6 +105,10 @@ class VerificationReport:
     bad_primes: tuple[tuple[int, int], ...]
     mod_2: SymmetricGroupEvidence
     partial_admissible: bool
+
+    def __post_init__(self) -> None:
+        if tuple(fl.name for fl in self.flags) != FLAG_NAMES:
+            raise ValueError(f"flags must be {', '.join(FLAG_NAMES)}, in that order")
 
     @property
     def admissible_derived(self) -> bool:

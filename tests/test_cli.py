@@ -622,13 +622,43 @@ class TestCertificateRoundTrip:
         assert len(lines) == 1
         assert lines[0].startswith(f"gspmax: malformed certificate file {other}: ")
 
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("f", lambda f: [str(int(c) + 1) for c in f]),
+            ("n_tilde", lambda _: "7"),
+            ("z", lambda _: "12345"),
+        ],
+        ids=["f-plus-one", "n_tilde-7", "z-12345"],
+    )
+    def test_repair_that_does_not_follow_from_its_actions_is_usage_error(
+        self, fixture_files, tmp_path, capsys, key, edit
+    ):
+        cert_path, poly_path = fixture_files
+        data = json.loads(cert_path.read_text())
+        repair = data["repair"]
+        f0, n_tilde, z = int(repair["f"][0]), int(repair["n_tilde"]), int(repair["z"])
+        message = {
+            "f": f'repair.f[0]: stored "{f0 + 1}", expected "{f0}"',
+            "n_tilde": f'repair.n_tilde: stored "7", expected "{n_tilde}"',
+            "z": f'repair.f[0]: stored "{f0}", expected "{f0 + (12345 - z) * n_tilde}"',
+        }[key]
+        repair[key] = edit(repair[key])
+        bad = tmp_path / "repair.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gspmax: malformed certificate file {bad}: {message}\n"
+
     def test_unavailable_screen_survives_the_report_round_trip(self, fixture_files):
-        # f = x^14 + 3: f' and f'' share the root 0, so no screen can be taken
+        # f = x^14 + 3: f' and f'' share the root 0, so no screen can be taken;
+        # the repaired f itself is derived from f0, so only the screen is swapped
         cert, _ = certificate_from_json(json.loads(fixture_files[0].read_text()))
         f = (3,) + (0,) * 13 + (1,)
         report = check_hypotheses(list(f), cert.plan, scan_bound=10**3)
         assert report.screen == TripleRootScreen((), 0, 10**3)
-        cert = replace(cert, repair=replace(cert.repair, f=f, screen=report.screen))
+        cert = replace(cert, repair=replace(cert.repair, screen=report.screen))
         data = certificate_to_json(cert, report)
         assert data["report"]["scan"] == {
             "bound": 10**3, "found_primes": [], "bad_primes": [], "residual_cofactor": "0"
@@ -701,6 +731,24 @@ class TestCertifiedClass:
                 ("report", "partial_admissible"), 1,
                 "report.partial_admissible: stored 1, expected true",
                 id="partial-admissibility-as-an-integer",
+            ),
+            pytest.param(
+                ("genus",), {"a": list(range(30))}, "not a decimal integer: an object",
+                id="genus-as-an-object-is-named-by-its-kind",
+            ),
+            pytest.param(
+                ("report", "flags", 0, "name"), "bogus", "unknown flag name 'bogus'",
+                id="unknown-flag-name",
+            ),
+            pytest.param(
+                ("report", "flags", 0, "detail"), {"any": [1, 2]},
+                "flag name, status and detail must be strings",
+                id="flag-detail-as-an-object",
+            ),
+            pytest.param(
+                ("report", "flags", -1), _DROP,
+                "flags must be 2G+eps, 2T, TT, p2, p3, p2', p3', 3, S_2g+2, ss, in that order",
+                id="report-without-the-ss-flag",
             ),
         ],
     )
@@ -783,8 +831,10 @@ _TARGETS = (
     + [("cert", path) for path in [
         (), ("schema",), ("genus",), ("N",), ("f0",), ("f0", -1), ("specs",), ("specs", 0),
         ("tuple",), ("tuple", "q3"), ("plan",), ("plan", "p_2"), ("plan", "p_irr"),
-        ("repair",), ("repair", "f"), ("repair", "z"), ("repair", "status"), ("report",),
-        ("report", "flags"), ("report", "scan", "found_primes"), ("report", "verdict", "text"),
+        ("repair",), ("repair", "f"), ("repair", "z"), ("repair", "n_tilde"),
+        ("repair", "pre_stage"), ("repair", "status"), ("report",), ("report", "flags"),
+        ("report", "flags", 0, "name"), ("report", "flags", 0, "detail"),
+        ("report", "scan", "found_primes"), ("report", "verdict", "text"),
         ("report", "mod_2", "full_cycle"),
     ]]
     + [
