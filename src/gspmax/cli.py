@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import argparse
 import collections
-import itertools
 import json
-import math
 import os
 import sys
 
@@ -20,7 +18,6 @@ from .construct import (
     RepairRecord,
     TripleRootScreen,
     build_certificate,
-    local_spec_list,
     repaired_poly,
 )
 from .goldbach import GoldbachTuple, two_g_eps_tuples, verify_range
@@ -202,12 +199,12 @@ def certificate_to_json(cert: Certificate, report: VerificationReport) -> dict:
                 "t": spec.t,
                 "qs": list(spec.qs),
                 "count": spec.count,
-                "witness": [str(c) for c in witness],
+                "witness": [str(c % spec.modulus) for c in cert.f0],
             }
-            for spec, witness in zip(cert.specs, cert.witnesses, strict=True)
+            for spec in plan.specs
         ],
         "f0": [str(c) for c in cert.f0],
-        "N": str(cert.modulus),
+        "N": str(plan.modulus),
         "repair": {
             "f": [str(c) for c in repair.f],
             "n_tilde": str(repair.n_tilde),
@@ -251,23 +248,36 @@ def _first_difference(stored: object, expected: object, path: str = "") -> str |
     return None if shown[0] == shown[1] else f"{path}: stored {shown[0]}, expected {shown[1]}"
 
 
+def _check_primes(path: str, primes: tuple[int, ...], n: int, name: str) -> None:
+    """Require strictly increasing primes that do not divide n, called name in the message."""
+    if any(a >= b for a, b in zip(primes, primes[1:])):
+        raise ValueError(f"{path}: primes must be strictly increasing")
+    for i, p in enumerate(primes):
+        if p < 2 or n % p == 0 or not is_prime(p):
+            raise ValueError(f"{path}[{i}]: {p} is not a prime that does not divide {name}")
+
+
 def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
     """Rebuild the certificate and report objects from their JSON form.
 
-    Only what cannot be derived is parsed: the genus, tuple, plan, f0 and
-    witnesses, the repair's actions, repaired primes and screen, and the
-    report's flags, bad primes, mod-2 evidence and partial admissibility.
-    One rule then covers the rest: as JSON text, the file must be exactly
-    what certificate_to_json writes for these objects (so true is not 1 and
-    6 is not "6"), or the first differing path is named. So the specs are
-    the plan's menu, N is their moduli's product, the repaired f and n_tilde
-    follow from f0, N and the repair's actions (repaired_poly), the status,
-    verdict and admissibility follow from their evidence, and the report's
-    screen is the repair's. Outside that rule, f0 must have 2g + 3
-    coefficients, checked before the plan is built, and must match each
-    witness modulo its spec's modulus, checked after the round trip. Every
-    modulus comes from the plan's menu, never from the file, so the work
-    stays bounded by the size of the file.
+    Only what cannot be derived is parsed: the genus, tuple, plan and f0,
+    the repair's actions, repaired primes and screen, and the report's
+    flags, bad primes, mod-2 evidence and partial admissibility. One rule
+    then covers the rest: as JSON text, the file must be exactly what
+    certificate_to_json writes for these objects (so true is not 1 and 6 is
+    not "6"), or the first differing path is named. So the specs are the
+    plan's menu, each witness is f0 mod its spec's modulus, N is the plan's
+    modulus, the repaired f and n_tilde follow from f0, N and the repair's
+    actions (repaired_poly), the status, verdict and admissibility follow
+    from their evidence, and the report's screen is the repair's.
+
+    Outside that rule, f0 must have 2g + 3 coefficients, checked before the
+    plan is built. The repair's actions must be ones fix_multiplicities
+    takes: pre-stage entries at strictly increasing primes p <= 2g - 1 that
+    do not divide N, each with 0 <= u, w < p, and strictly increasing
+    repaired primes that do not divide n_tilde. Every modulus comes from the
+    plan's menu, never from the file, so the work stays bounded by the size
+    of the file.
     """
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
@@ -277,42 +287,36 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         raise ValueError("f0 must have 2g + 3 coefficients")
     tup = GoldbachTuple(g=g, **{q: _parse_int(v) for q, v in data["tuple"].items()})
     plan = PrimePlan(g=g, prime_tuple=tup, **{k: _parse_int(v) for k, v in data["plan"].items()})
-    specs = local_spec_list(plan)
     rd = data["repair"]
     pre_stage = tuple(
         (_parse_int(e["prime"]), _parse_int(e["u"]), _parse_int(e["w"])) for e in rd["pre_stage"]
     )
+    for i, (p, u, w) in enumerate(pre_stage):
+        if not (p <= 2 * g - 1 and 0 <= u < p and 0 <= w < p):
+            raise ValueError(f"repair.pre_stage[{i}]: need prime <= 2g - 1 and 0 <= u, w < prime")
+    _check_primes("repair.pre_stage", tuple(p for p, _, _ in pre_stage), plan.modulus, "N")
     nudges, z = _parse_int(rd["linear_nudges"]), _parse_int(rd["z"])
-    f, n_tilde = repaired_poly(f0, math.prod(s.modulus for s in specs), g, pre_stage, nudges, z)
+    f, n_tilde = repaired_poly(f0, plan.modulus, g, pre_stage, nudges, z)
+    repaired_primes = tuple(_parse_int(p) for p in rd["repaired_primes"])
+    _check_primes("repair.repaired_primes", repaired_primes, n_tilde, "n_tilde")
     repair = RepairRecord(
         f=tuple(f),
         n_tilde=n_tilde,
         pre_stage=pre_stage,
         linear_nudges=nudges,
         z=z,
-        repaired_primes=tuple(_parse_int(p) for p in rd["repaired_primes"]),
+        repaired_primes=repaired_primes,
         screen=TripleRootScreen(
             found_primes=tuple(_parse_int(p) for p in rd["found_primes"]),
             residual_cofactor=_parse_int(rd["residual_cofactor"]),
             scan_bound=_parse_int(rd["scan_bound"]),
         ),
     )
-    cert = Certificate(
-        plan=plan,
-        witnesses=tuple(tuple(_parse_int(c) for c in e["witness"]) for e in data["specs"]),
-        f0=f0,
-        repair=repair,
-    )
+    cert = Certificate(plan=plan, f0=f0, repair=repair)
     report = _report_from_json(data["report"], plan, repair.screen)
-    if len(cert.witnesses) != len(specs):  # certificate_to_json pairs each spec with a witness
-        raise ValueError(f"specs: stored {len(cert.witnesses)} entries, expected {len(specs)}")
     expected = certificate_to_json(cert, report)
     if json.dumps(data, sort_keys=True) != json.dumps(expected, sort_keys=True):
         raise ValueError(_first_difference(data, expected))
-    for spec, witness in zip(specs, cert.witnesses, strict=True):
-        pairs = itertools.zip_longest(f0, witness, fillvalue=0)
-        if any((a - b) % spec.modulus for a, b in pairs):
-            raise ValueError(f"f0 does not match the witness at {spec.p} mod {spec.modulus}")
     return cert, report
 
 
@@ -440,7 +444,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cert, _ = read_certificate(args.cert)
     f = read_poly_file(args.poly)
     f0 = list(cert.f0)
-    n = cert.modulus
+    n = cert.plan.modulus
     congruent = len(f) == len(f0) and all((a - b) % n == 0 for a, b in zip(f, f0))
     print(f"congruent to the certified class mod N: {'yes' if congruent else 'no'}")
     if not congruent:

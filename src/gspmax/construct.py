@@ -8,6 +8,7 @@ planned primes see roots of multiplicity three or more.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,7 +88,8 @@ class PrimePlan:
     irreducible and a linear-times-irreducible reduction. Creation checks
     that the primes are distinct and avoid 2 and the primes <= g, that the
     block-pattern primes exceed 2g + 2, and that each one is a primitive
-    root mod its GENERATORS and, for ONE_MOD_3, is 1 mod 3.
+    root mod its GENERATORS and, for ONE_MOD_3, is 1 mod 3. specs, the
+    plan's congruence menu, is built once, on first use.
     """
 
     g: int
@@ -131,6 +133,35 @@ class PrimePlan:
     def exceptions(self) -> tuple[int, ...]:
         """The primes allowed to keep roots of multiplicity three or more."""
         return tuple(sorted((self.p_2, self.p_2_prime, self.p_3, self.p_3_prime)))
+
+    @functools.cached_property
+    def specs(self) -> tuple[LocalSpec, ...]:
+        """The full congruence menu of the plan, one spec per modulus."""
+        g, tup = self.g, self.prime_tuple
+        specs = [
+            LocalSpec(p=self.p_t, kind="type", m=2, t=1, qs=(2,)),
+            LocalSpec(p=self.p_t_prime, kind="type", m=2, t=1, qs=(2,)),
+        ]
+        for ell in primes_up_to(g):
+            if ell % 2 == 1:
+                specs.append(LocalSpec(p=ell, kind="double_roots", m=2, count=g))
+        specs.extend(
+            [
+                LocalSpec(p=self.p_2, kind="type", m=2, t=1, qs=(tup.q1, tup.q2)),
+                LocalSpec(p=self.p_2_prime, kind="type", m=2, t=1, qs=(tup.q4, tup.q5)),
+                LocalSpec(p=self.p_3, kind="type", m=3, t=2, qs=(tup.q3,)),
+                LocalSpec(p=self.p_3_prime, kind="type", m=3, t=2, qs=(tup.q5,)),
+                LocalSpec(p=self.p_irr, kind="irreducible", m=1),
+                LocalSpec(p=self.p_lin, kind="linear_times_irreducible", m=1),
+                LocalSpec(p=2, kind="good_reduction_2", m=2 * g + 2),
+            ]
+        )
+        return tuple(specs)
+
+    @property
+    def modulus(self) -> int:
+        """N, the product of the spec moduli."""
+        return math.prod(spec.modulus for spec in self.specs)
 
 
 def _scan_prime(lower: int, used: set[int], ok) -> int:
@@ -183,30 +214,6 @@ def plan_primes(g: int, tup: GoldbachTuple, seed: int = 0) -> PrimePlan:
         p_irr=take(g),
         p_lin=take(g),
     )
-
-
-def local_spec_list(plan: PrimePlan) -> list[LocalSpec]:
-    """The full congruence menu for a prime plan, one spec per modulus."""
-    g, tup = plan.g, plan.prime_tuple
-    specs = [
-        LocalSpec(p=plan.p_t, kind="type", m=2, t=1, qs=(2,)),
-        LocalSpec(p=plan.p_t_prime, kind="type", m=2, t=1, qs=(2,)),
-    ]
-    for ell in primes_up_to(g):
-        if ell % 2 == 1:
-            specs.append(LocalSpec(p=ell, kind="double_roots", m=2, count=g))
-    specs.extend(
-        [
-            LocalSpec(p=plan.p_2, kind="type", m=2, t=1, qs=(tup.q1, tup.q2)),
-            LocalSpec(p=plan.p_2_prime, kind="type", m=2, t=1, qs=(tup.q4, tup.q5)),
-            LocalSpec(p=plan.p_3, kind="type", m=3, t=2, qs=(tup.q3,)),
-            LocalSpec(p=plan.p_3_prime, kind="type", m=3, t=2, qs=(tup.q5,)),
-            LocalSpec(p=plan.p_irr, kind="irreducible", m=1),
-            LocalSpec(p=plan.p_lin, kind="linear_times_irreducible", m=1),
-            LocalSpec(p=2, kind="good_reduction_2", m=2 * g + 2),
-        ]
-    )
-    return specs
 
 
 def assemble(items: list[tuple[LocalSpec, list[int]]], g: int) -> tuple[list[int], int]:
@@ -465,22 +472,13 @@ def fix_multiplicities(
 class Certificate:
     """A constructed polynomial with the plan and evidence behind it.
 
-    The genus is plan.g. witnesses[i] realizes specs[i], the plan's menu, and
-    f0 is their CRT assembly mod modulus, the product of the spec moduli.
+    The genus is plan.g and N is plan.modulus. f0 is the CRT assembly of one
+    witness per spec of plan.specs, so each witness is f0 mod its modulus.
     """
 
     plan: PrimePlan
-    witnesses: tuple[tuple[int, ...], ...]
     f0: tuple[int, ...]
     repair: RepairRecord
-
-    @property
-    def specs(self) -> tuple[LocalSpec, ...]:
-        return tuple(local_spec_list(self.plan))
-
-    @property
-    def modulus(self) -> int:
-        return math.prod(spec.modulus for spec in self.specs)
 
     @property
     def f(self) -> tuple[int, ...]:
@@ -509,9 +507,8 @@ def build_certificate(
         )
     tup = tuples[0]
     plan = plan_primes(g, tup, seed)
-    specs = local_spec_list(plan)
-    witnesses = [witness_poly(spec, g, seed=seed, budget=budget) for spec in specs]
-    f0, modulus = assemble(list(zip(specs, witnesses)), g)
+    witnesses = [witness_poly(spec, g, seed=seed, budget=budget) for spec in plan.specs]
+    f0, modulus = assemble(list(zip(plan.specs, witnesses)), g)
     repair = fix_multiplicities(
         f0,
         modulus,
@@ -519,9 +516,4 @@ def build_certificate(
         exceptions=plan.exceptions,
         scan_bound=scan_bound,
     )
-    return Certificate(
-        plan=plan,
-        witnesses=tuple(tuple(w) for w in witnesses),
-        f0=tuple(f0),
-        repair=repair,
-    )
+    return Certificate(plan=plan, f0=tuple(f0), repair=repair)

@@ -218,6 +218,15 @@ def _separable_avoiding(f: list[int], p: int, points: int) -> bool:
     return fp_gcd(f, fd, p) == [1] and all(poly_eval(f, r, p) for r in range(points))
 
 
+def _shifted_power_block(shift: int, q: int, sub: int) -> list[int]:
+    """(x - shift)^q - sub."""
+    block = [1]
+    for _ in range(q):
+        block = poly_mul(block, [-shift, 1])
+    block[0] -= sub
+    return block
+
+
 def _type_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
     p, t, qs = spec.p, spec.t, list(spec.qs)
     deg = 2 * g + 2
@@ -227,21 +236,13 @@ def _type_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
     k = len(qs)
     if k > p:
         raise ValueError("not enough residues for distinct shifts")
-    blocks = []
-    for i, q in enumerate(qs):
-        # (x - i)^q - p^t, placing block i at shift i
-        block = [1]
-        for _ in range(q):
-            block = poly_mul(block, [-i, 1])
-        block[0] -= p**t
-        blocks.append(block)
     cof_deg = deg - total
     out = [1]
     if cof_deg:
         rng = random.Random(seed)
         out = _draw(cof_deg, p, rng, budget, lambda h: _separable_avoiding(h, p, k))
-    for block in blocks:
-        out = poly_mul(out, block)
+    for i, q in enumerate(qs):  # block i sits at shift i
+        out = poly_mul(out, _shifted_power_block(i, q, p**t))
     return poly_reduce(out, spec.modulus)
 
 
@@ -286,14 +287,6 @@ def _good_reduction_2_witness(spec: LocalSpec, g: int) -> list[int]:
 
 def _fixture_table_g6() -> dict[int, list[int]]:
     """The eleven hand-picked genus-6 witnesses, keyed by prime."""
-
-    def shifted_power_block(shift: int, q: int, sub: int) -> list[int]:
-        block = [1]
-        for _ in range(q):
-            block = poly_mul(block, [-shift, 1])
-        block[0] -= sub
-        return block
-
     table: dict[int, list[int]] = {}
     table[7] = poly_reduce(
         poly_mul([3, 0, 5, 0, 4, 2, 3, 5, 2, 0, 0, 0, 1], [-7, 0, 1]), 49
@@ -302,14 +295,14 @@ def _fixture_table_g6() -> dict[int, list[int]]:
         poly_mul([2, 5, 6, 5, 5, 2, 4, 1, 1, 0, 0, 0, 1], [-11, 0, 1]), 121
     )
     table[19] = poly_reduce(
-        poly_mul(shifted_power_block(0, 7, 19), shifted_power_block(1, 7, 19)), 19**2
+        poly_mul(_shifted_power_block(0, 7, 19), _shifted_power_block(1, 7, 19)), 19**2
     )
     table[41] = poly_reduce(
-        poly_mul(shifted_power_block(0, 11, 41), shifted_power_block(1, 3, 41)), 41**2
+        poly_mul(_shifted_power_block(0, 11, 41), _shifted_power_block(1, 3, 41)), 41**2
     )
-    table[37] = poly_reduce(poly_mul(shifted_power_block(0, 13, 37**2), [1, 1]), 37**3)
+    table[37] = poly_reduce(poly_mul(_shifted_power_block(0, 13, 37**2), [1, 1]), 37**3)
     table[17] = poly_reduce(
-        poly_mul(shifted_power_block(0, 11, 17**2), [14, 1, 0, 1]), 17**3
+        poly_mul(_shifted_power_block(0, 11, 17**2), [14, 1, 0, 1]), 17**3
     )
     table[23] = [5, 22, 1, 19, 18, 1, 16, 5, 1, 0, 0, 0, 0, 0, 1]
     table[29] = poly_reduce(poly_mul([1, 1], [27, 7] + [0] * 11 + [1]), 29)

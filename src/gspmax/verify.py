@@ -24,7 +24,6 @@ from .construct import (
     PrimePlan,
     TripleRootScreen,
     generator_moduli,
-    local_spec_list,
     screen_triple_roots,
 )
 from .inertia import is_totally_toric
@@ -153,11 +152,11 @@ def check_hypotheses(
     "fail" means not certified. The semistability flag is "conditional" when
     all located candidate primes are clean but a composite cofactor of the
     triple-root screen's gcd remains above the scan bound. The local
-    conditions come from the plan's menu, local_spec_list: 2T and the block
-    flags evaluate its type specs, TT its double_roots primes. The parts of
-    a flag that depend on the plan alone (the tuple, distinct transvection
-    primes above g, sizes, primitive roots, residues mod 3) are validated
-    when the PrimePlan is created and only described here.
+    conditions come from the plan's menu, plan.specs: 2T and the block flags
+    evaluate its type specs, TT its double_roots primes. The parts of a flag
+    that depend on the plan alone (the tuple, distinct transvection primes
+    above g, sizes, primitive roots, residues mod 3) are validated when the
+    PrimePlan is created and only described here.
 
     screen, when given, must be screen_triple_roots(f, scan_bound), and is
     used instead of computing that screen again; a screen to another bound
@@ -182,8 +181,7 @@ def check_hypotheses(
     if not irreducible and resultant(f, poly_derivative(f)) == 0:
         raise ValueError("f must be squarefree")
     tup = plan.prime_tuple
-    specs = local_spec_list(plan)
-    type_specs = {spec.p: spec for spec in specs if spec.kind == "type"}
+    type_specs = {spec.p: spec for spec in plan.specs if spec.kind == "type"}
     typed = {
         p: recognize_type(f, p, spec.t, list(spec.qs)) is not None
         for p, spec in type_specs.items()
@@ -205,7 +203,7 @@ def check_hypotheses(
 
     toric = {
         spec.p: is_totally_toric(f, spec.p, g)
-        for spec in specs
+        for spec in plan.specs
         if spec.kind == "double_roots"
     }
     flag_tt = HypothesisFlag(

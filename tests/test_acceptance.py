@@ -17,7 +17,6 @@ from gspmax.arith import (
 from gspmax.cli import main
 from gspmax.construct import (
     assemble,
-    local_spec_list,
     plan_primes,
     screen_triple_roots,
 )
@@ -43,7 +42,7 @@ class TestGoldenAssembly:
     def test_eleven_witness_assembly_is_bit_exact_within_one_second(self):
         start = time.perf_counter()
         plan = plan_primes(6, _genus_six_tuple(), seed=FIXTURE_SEED)
-        specs = local_spec_list(plan)
+        specs = plan.specs
         items = [(s, witness_poly(s, 6, seed=FIXTURE_SEED)) for s in specs]
         assert len(items) == 11
         f0, modulus = assemble(items, 6)

@@ -23,6 +23,7 @@ from gspmax.cli import (
     main,
 )
 from gspmax.construct import TripleRootScreen
+from gspmax.localtypes import LocalSpec
 from gspmax.verify import FLAG_NAMES, check_hypotheses
 
 
@@ -325,6 +326,21 @@ class TestVerifyCommand:
         assert _flag_statuses(out) == dict.fromkeys(FLAG_NAMES, "pass")
         assert "verdict: maximal-all-ell [full-hypothesis-set]" in out
         assert "conditional" not in out
+
+    def test_verify_builds_the_menu_once(self, fixture_files, capsys, monkeypatch):
+        # the read, its round trip, the class check and check_hypotheses all
+        # share the plan's menu
+        built = []
+        real = LocalSpec.__post_init__
+
+        def counted(spec):
+            built.append(spec.p)
+            real(spec)
+
+        monkeypatch.setattr(LocalSpec, "__post_init__", counted)
+        cert_path, poly_path = fixture_files
+        assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 0
+        assert sorted(built) == [2, 3, 5, 7, 11, 17, 19, 23, 29, 37, 41]
 
     def test_fixture_verifies_conditionally(self, fixture_files, capsys):
         # below 17 the screen leaves G's composite part 17^a 19^b 37^c 41^d
@@ -750,6 +766,51 @@ class TestCertifiedClass:
                 "flags must be 2G+eps, 2T, TT, p2, p3, p2', p3', 3, S_2g+2, ss, in that order",
                 id="report-without-the-ss-flag",
             ),
+            pytest.param(
+                ("specs", 0, "witness", 0), "56", 'specs[0].witness[0]: stored "56", expected "7"',
+                id="witness-plus-its-modulus-49",
+            ),
+            pytest.param(
+                ("repair", "pre_stage"), [{"prime": 1, "u": 5, "w": 5}],
+                "repair.pre_stage[0]: need prime <= 2g - 1 and 0 <= u, w < prime",
+                id="pre-stage-residues-outside-their-prime",
+            ),
+            pytest.param(
+                ("repair", "pre_stage"), [{"prime": 13, "u": 0, "w": 0}],
+                "repair.pre_stage[0]: need prime <= 2g - 1 and 0 <= u, w < prime",
+                id="pre-stage-prime-above-2g-1",
+            ),
+            pytest.param(
+                ("repair", "pre_stage"), [{"prime": 1, "u": 0, "w": 0}],
+                "repair.pre_stage[0]: 1 is not a prime that does not divide N",
+                id="pre-stage-at-1",
+            ),
+            pytest.param(
+                ("repair", "pre_stage"), [{"prime": 3, "u": 0, "w": 0}],
+                "repair.pre_stage[0]: 3 is not a prime that does not divide N",
+                id="pre-stage-prime-dividing-N",
+            ),
+            pytest.param(
+                ("repair", "pre_stage"),
+                [{"prime": 5, "u": 0, "w": 0}, {"prime": 3, "u": 0, "w": 0}],
+                "repair.pre_stage: primes must be strictly increasing",
+                id="pre-stage-primes-out-of-order",
+            ),
+            pytest.param(
+                ("repair", "repaired_primes"), ["4"],
+                "repair.repaired_primes[0]: 4 is not a prime that does not divide n_tilde",
+                id="repaired-prime-4",
+            ),
+            pytest.param(
+                ("repair", "repaired_primes"), ["3"],
+                "repair.repaired_primes[0]: 3 is not a prime that does not divide n_tilde",
+                id="repaired-prime-dividing-n-tilde",
+            ),
+            pytest.param(
+                ("repair", "repaired_primes"), ["101", "101"],
+                "repair.repaired_primes: primes must be strictly increasing",
+                id="repaired-primes-repeated",
+            ),
         ],
     )
     def test_class_that_misses_the_plan_is_usage_error(
@@ -787,17 +848,17 @@ class TestCertifiedClass:
         assert capsys.readouterr().err == f"gspmax: malformed certificate file {bad}: {message}\n"
 
     def test_altered_witness_is_usage_error(self, seed0_files, tmp_path, capsys):
+        # each witness is f0 mod its spec's modulus, so the round trip names it
         cert_path, poly_path = seed0_files[6]
         data = json.loads(cert_path.read_text())
-        entry = data["specs"][0]
-        entry["witness"][0] = str(int(entry["witness"][0]) + 1)
+        stored = data["specs"][0]["witness"][0]
+        data["specs"][0]["witness"][0] = str(int(stored) + 1)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
-        modulus = entry["modulus"]
         assert capsys.readouterr().err == (
             f"gspmax: malformed certificate file {bad}: "
-            f"f0 does not match the witness at {entry['prime']} mod {modulus}\n"
+            f'specs[0].witness[0]: stored "{int(stored) + 1}", expected "{stored}"\n'
         )
 
     def test_constructed_certificates_and_class_members_still_verify(

@@ -24,7 +24,6 @@ from gspmax.construct import (
     assemble,
     build_certificate,
     fix_multiplicities,
-    local_spec_list,
     plan_primes,
     screen_triple_roots,
 )
@@ -126,7 +125,7 @@ class TestPlanPrimes:
 
 class TestLocalSpecList:
     def test_fixture_menu_order_and_moduli(self):
-        specs = local_spec_list(_fixture_plan())
+        specs = _fixture_plan().specs
         assert [(s.p, s.kind) for s in specs] == [
             (7, "type"),
             (11, "type"),
@@ -149,7 +148,7 @@ class TestLocalSpecList:
         assert product == N
 
     def test_menu_block_patterns_follow_the_tuple(self):
-        specs = local_spec_list(_fixture_plan())
+        specs = _fixture_plan().specs
         by_p = {s.p: s for s in specs}
         assert by_p[19].qs == (7, 7) and by_p[19].t == 1
         assert by_p[41].qs == (3, 11) and by_p[41].t == 1
@@ -160,19 +159,19 @@ class TestLocalSpecList:
     def test_menu_moduli_product_for_other_genera(self):
         for g in (8, 9, 10):
             plan = plan_primes(g, two_g_eps_tuples(g)[0], seed=0)
-            specs = local_spec_list(plan)
+            specs = plan.specs
             product = 1
             for s in specs:
                 product *= s.modulus
             _, modulus = assemble(
                 [(s, witness_poly(s, g, seed=0)) for s in specs], g
             )
-            assert product == modulus
+            assert plan.modulus == product == modulus
 
 
 class TestAssemble:
     def _fixture_items(self):
-        specs = local_spec_list(_fixture_plan())
+        specs = _fixture_plan().specs
         return [(s, witness_poly(s, 6, seed=FIXTURE_SEED)) for s in specs]
 
     def test_fixture_assembly_is_bit_exact(self):
@@ -416,19 +415,21 @@ class TestBuildCertificate:
     def test_fixture_certificate_is_golden(self):
         cert = build_certificate(6, seed=FIXTURE_SEED)
         assert list(cert.f0) == F0
-        assert cert.modulus == N
+        assert cert.plan.modulus == N
         assert cert.f == cert.f0
         assert cert.repair.z == 0 and cert.repair.linear_nudges == 0
         assert cert.repair.status == "clean"
-        assert len(cert.specs) == len(cert.witnesses) == 11
+        assert len(cert.plan.specs) == 11
+        for s in cert.plan.specs:
+            assert witness_poly(s, 6, seed=FIXTURE_SEED) == [c % s.modulus for c in cert.f0]
         assert cert.plan.p_irr == 23 and cert.plan.p_lin == 29
 
     def test_default_certificate_g6(self):
         cert = build_certificate(6, seed=0)
         assert cert.plan.p_irr == 13 and cert.plan.p_lin == 23
-        assert cert.modulus % (13 * 23) == 0
+        assert cert.plan.modulus % (13 * 23) == 0
         assert list(cert.f0) != F0
-        assert all((a - b) % cert.modulus == 0 for a, b in zip(cert.f, cert.f0))
+        assert all((a - b) % cert.plan.modulus == 0 for a, b in zip(cert.f, cert.f0))
 
     def test_exceptional_genus_raises(self):
         with pytest.raises(ExceptionalGenusError, match="prime tuple"):

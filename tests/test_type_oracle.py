@@ -1,32 +1,43 @@
-"""An independent sympy oracle for the five type flags of check_hypotheses.
+"""An independent sympy oracle for seven flags of check_hypotheses.
 
-2T, p2, p3, p2' and p3' are restated here from their definitions, with
-sympy 1.14 alone. f has type t-{q1,...,qk} at p when f mod p is a separable
-part times distinct rational roots of multiplicities q1..qk, and each block
-of the Hensel lift of that factorization mod p^(t+1), moved to its root, is
-t-Eisenstein. The factorization mod p comes from gf_factor, the lift from
-dup_zz_hensel_lift and the move from dup_shift; no gspmax arithmetic is used.
+2T, p2, p3, p2', p3', TT and S_2g+2 are restated here from their
+definitions, with sympy 1.14 alone. f has type t-{q1,...,qk} at p when f mod
+p is a separable part times distinct rational roots of multiplicities
+q1..qk, and each block of the Hensel lift of that factorization mod p^(t+1),
+moved to its root, is t-Eisenstein. The factorization mod p comes from
+gf_factor, the lift from dup_zz_hensel_lift and the move from dup_shift. TT
+holds when, at each odd prime ell <= g, every root of f mod ell has
+multiplicity at most 2 and at least g of them are double, as gf_sqf_list
+counts them. S_2g+2 holds when gf_factor finds f irreducible mod p_irr and a
+linear times an irreducible factor, both simple, mod p_lin. No gspmax
+arithmetic is used.
 """
 
 import functools
 
 import pytest
-from sympy import ZZ
+from sympy import ZZ, primerange
 from sympy.polys.densetools import dup_shift
 from sympy.polys.factortools import dup_zz_hensel_lift
-from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_pow
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_pow, gf_sqf_list
 
 from gspmax.construct import build_certificate
 from gspmax.localtypes import FIXTURE_SEED
 from gspmax.verify import check_hypotheses
 
 TYPE_FLAGS = ("2T", "p2", "p3", "p2'", "p3'")
+FLAGS = TYPE_FLAGS + ("TT", "S_2g+2")
 CASES = [(6, FIXTURE_SEED)] + [(g, seed) for g in (6, 8, 10) for seed in range(5)]
+
+
+def _dense_mod(f: list[int], p: int) -> list:
+    """f (ascending coefficients) mod p as a dense, descending sympy polynomial."""
+    return gf_from_int_poly([ZZ(c) for c in reversed(f)], p)
 
 
 def _factor_mod(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Monic irreducible factors of monic f mod p (dense, descending) with multiplicities."""
-    return gf_factor(gf_from_int_poly([ZZ(c) for c in reversed(f)], p), p, ZZ)[1]
+    return gf_factor(_dense_mod(f, p), p, ZZ)[1]
 
 
 def _repeated_roots(f: list[int], p: int) -> list[tuple[int, int]] | None:
@@ -66,11 +77,29 @@ def flag_types(plan) -> dict[str, list[tuple[int, int, list[int]]]]:
     }
 
 
+def _totally_toric(f: list[int], ell: int, g: int) -> bool:
+    """Whether every root of f mod ell has multiplicity at most 2 and at least g are double."""
+    parts = gf_sqf_list(_dense_mod(f, ell), ell, ZZ)[1]
+    doubles = sum(len(part) - 1 for part, e in parts if e == 2)
+    return all(e <= 2 for _, e in parts) and doubles >= g
+
+
+def _factor_shape(f: list[int], p: int) -> list[tuple[int, int]]:
+    """(degree, multiplicity) of each irreducible factor of f mod p, sorted."""
+    return sorted((len(fac) - 1, e) for fac, e in _factor_mod(f, p))
+
+
 def oracle_flags(f: list[int], plan) -> dict[str, str]:
-    return {
-        name: "pass" if all(_type_holds(f, *cond) for cond in conds) else "fail"
+    holds = {
+        name: all(_type_holds(f, *cond) for cond in conds)
         for name, conds in flag_types(plan).items()
     }
+    g, deg = plan.g, len(f) - 1
+    holds["TT"] = all(_totally_toric(f, ell, g) for ell in primerange(3, g + 1))
+    irreducible = _factor_shape(f, plan.p_irr) == [(deg, 1)]
+    linear_times_irreducible = _factor_shape(f, plan.p_lin) == [(1, 1), (deg - 1, 1)]
+    holds["S_2g+2"] = irreducible and linear_times_irreducible
+    return {name: "pass" if ok else "fail" for name, ok in holds.items()}
 
 
 @functools.cache
@@ -80,7 +109,24 @@ def _certificate(g: int, seed: int):
 
 def _reported(f: list[int], plan, **screen) -> dict[str, str]:
     report = check_hypotheses(f, plan, **screen)
-    return {name: report.flag(name).status for name in TYPE_FLAGS}
+    return {name: report.flag(name).status for name in FLAGS}
+
+
+def _assert_certificate_matches_the_oracle(g: int, seed: int, names: tuple[str, ...]) -> None:
+    """The named flags of a built certificate, as reported and by the oracle, all pass."""
+    cert = _certificate(g, seed)
+    f = list(cert.f)
+    screen = cert.repair.screen
+    reported = _reported(f, cert.plan, scan_bound=screen.scan_bound, screen=screen)
+    oracle = oracle_flags(f, cert.plan)
+    assert {name: reported[name] for name in names} == {name: oracle[name] for name in names}
+    assert {reported[name] for name in names} == {"pass"}
+
+
+def _idempotent(cert, modulus: int) -> int:
+    """The integer that is 1 mod this spec modulus and 0 mod every other one."""
+    rest = cert.plan.modulus // modulus
+    return rest * pow(rest, -1, modulus)
 
 
 def test_the_oracle_rejects_a_cofactor_root_and_a_deep_block():
@@ -94,12 +140,12 @@ def test_the_oracle_rejects_a_cofactor_root_and_a_deep_block():
 
 @pytest.mark.parametrize("g, seed", CASES)
 def test_type_flags_match_the_oracle(g, seed):
-    cert = _certificate(g, seed)
-    f = list(cert.f)
-    screen = cert.repair.screen
-    reported = _reported(f, cert.plan, scan_bound=screen.scan_bound, screen=screen)
-    assert reported == oracle_flags(f, cert.plan)
-    assert set(reported.values()) == {"pass"}
+    _assert_certificate_matches_the_oracle(g, seed, TYPE_FLAGS)
+
+
+@pytest.mark.parametrize("g, seed", CASES)
+def test_tt_and_s_flags_match_the_oracle(g, seed):
+    _assert_certificate_matches_the_oracle(g, seed, ("TT", "S_2g+2"))
 
 
 @pytest.mark.parametrize("seed", [FIXTURE_SEED, 0], ids=["fixture", "seed0"])
@@ -113,9 +159,29 @@ def test_a_planted_mutant_fails_its_flag_in_both(flag, seed):
     pt1 = p ** (t + 1)
     s = _repeated_roots(list(cert.f), p)[0][0]
     a0 = sum(c * s**i for i, c in enumerate(cert.f)) % pt1
-    rest = cert.modulus // pt1
     f = list(cert.f)
-    f[0] -= a0 * rest * pow(rest, -1, pt1)
-    expected = {name: "fail" if name == flag else "pass" for name in TYPE_FLAGS}
+    f[0] -= a0 * _idempotent(cert, pt1)
+    expected = {name: "fail" if name == flag else "pass" for name in FLAGS}
+    assert oracle_flags(f, cert.plan) == expected
+    assert _reported(f, cert.plan) == expected
+
+
+@pytest.mark.parametrize("seed", [FIXTURE_SEED, 0], ids=["fixture", "seed0"])
+@pytest.mark.parametrize(
+    "flag, slot",
+    [("TT", None), ("S_2g+2", "p_irr"), ("S_2g+2", "p_lin")],
+    ids=["TT", "S_2g+2", "S_2g+2-p_lin"],
+)
+def test_a_planted_mutant_fails_tt_or_s_in_both(flag, slot, seed):
+    # through the constant e that is 1 modulo one spec modulus m and 0
+    # modulo every other, each lower coefficient c of f loses e*(c mod m):
+    # f becomes x^(2g+2) mod m, one root of multiplicity 2g + 2, and stays
+    # as it was modulo the other spec moduli. m is 9 (ell = 3) for TT, and
+    # p_irr or p_lin for S_2g+2.
+    cert = _certificate(6, seed)
+    m = getattr(cert.plan, slot) if slot else 9
+    e = _idempotent(cert, m)
+    f = [c - e * (c % m) for c in cert.f[:-1]] + [1]
+    expected = {name: "fail" if name == flag else "pass" for name in FLAGS}
     assert oracle_flags(f, cert.plan) == expected
     assert _reported(f, cert.plan) == expected
