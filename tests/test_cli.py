@@ -13,16 +13,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from golden_data import F0, N, PLAN_G6
-from gspmax import construct, goldbach
+from gspmax import construct, goldbach, localtypes
 from gspmax.arith import poly_mul
 from gspmax.cli import (
     MAX_SCAN_BOUND,
-    SCAN_BOUND_ENV,
     certificate_from_json,
     certificate_to_json,
     main,
 )
-from gspmax.construct import TripleRootScreen
+from gspmax.construct import DEFAULT_SCAN_BOUND, TripleRootScreen
 from gspmax.localtypes import LocalSpec
 from gspmax.verify import FLAG_NAMES, check_hypotheses
 
@@ -58,6 +57,14 @@ def _mutated_text(data, path, replacement) -> str:
     return json.dumps(data)
 
 
+def _f0_and_f_raised_by_n(data):
+    """data with f0[0] and the repaired f[0] both raised by N, so f still follows from f0."""
+    n = int(data["N"])
+    for coeffs in (data["f0"], data["repair"]["f"]):
+        coeffs[0] = str(int(coeffs[0]) + n)
+    return data
+
+
 @pytest.fixture(scope="module")
 def fixture_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -83,11 +90,6 @@ def seed0_files(tmp_path_factory):
         assert code == 0
         files[g] = cert, poly
     return files
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(SCAN_BOUND_ENV, raising=False)
 
 
 class TestGoldbachCommand:
@@ -220,14 +222,8 @@ class TestConstructCommand:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_broken_witness_shows_as_failing_flag(self, tmp_path, monkeypatch):
-        real = construct.witness_poly
-
-        def broken(spec, g, **kwargs):
-            if spec.kind == "irreducible":
-                return [-1] + [0] * (2 * g + 1) + [1]  # x^(2g+2) - 1 splits mod p_irr
-            return real(spec, g, **kwargs)
-
-        monkeypatch.setattr(construct, "witness_poly", broken)
+        # x^14 - 1 splits mod the fixture's p_irr = 23
+        monkeypatch.setitem(localtypes.FIXTURE_WITNESSES_G6, 23, [-1] + [0] * 13 + [1])
         out = tmp_path / "cert.json"
         assert main(["construct", "--genus", "6", "--fixture", "--out", str(out)]) == 1
         flags = json.loads(out.read_text())["report"]["flags"]
@@ -238,14 +234,7 @@ class TestConstructCommand:
     def test_exhausted_witness_search_is_construction_failure(
         self, tmp_path, monkeypatch, capsys
     ):
-        real = construct.witness_poly
-
-        def starved(spec, g, **kwargs):
-            if spec.kind == "irreducible":
-                kwargs["budget"] = 0
-            return real(spec, g, **kwargs)
-
-        monkeypatch.setattr(construct, "witness_poly", starved)
+        monkeypatch.setattr(localtypes, "WITNESS_BUDGET", 0)
         out = tmp_path / "cert.json"
         assert main(["construct", "--genus", "6", "--out", str(out)]) == 5
         assert capsys.readouterr().err == "gspmax: construction failed: no witness found\n"
@@ -254,14 +243,8 @@ class TestConstructCommand:
     def test_unrepairable_triple_root_is_construction_failure(
         self, tmp_path, monkeypatch, capsys
     ):
-        real = construct.witness_poly
-
-        def cubed(spec, g, **kwargs):
-            if spec.kind == "irreducible":
-                return [0] * (2 * g + 2) + [1]  # x^(2g+2): one root of multiplicity 2g+2
-            return real(spec, g, **kwargs)
-
-        monkeypatch.setattr(construct, "witness_poly", cubed)
+        # x^14 has one root of multiplicity 14 mod the fixture's p_irr = 23
+        monkeypatch.setitem(localtypes.FIXTURE_WITNESSES_G6, 23, [0] * 14 + [1])
         out = tmp_path / "cert.json"
         assert main(["construct", "--genus", "6", "--fixture", "--out", str(out)]) == 5
         assert capsys.readouterr().err == (
@@ -419,27 +402,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "malformed polynomial file" in capsys.readouterr().err
 
-    def test_scan_bound_env_and_flag_precedence(
-        self, fixture_files, tmp_path, capsys, monkeypatch
-    ):
+    def test_scan_bound_default_and_flag(self, fixture_files, capsys):
         cert_path, poly_path = fixture_files
-        monkeypatch.setenv(SCAN_BOUND_ENV, "950")
         assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 0
-        assert "to 950" in capsys.readouterr().out
+        assert f"to {DEFAULT_SCAN_BOUND}:" in capsys.readouterr().out
         code = main(
             ["verify", "--poly", str(poly_path), "--cert", str(cert_path),
              "--scan-bound", "1200"]
         )
         assert code == 0
         assert "to 1200" in capsys.readouterr().out
-
-    def test_invalid_scan_bound_env_is_usage_error(
-        self, fixture_files, capsys, monkeypatch
-    ):
-        cert_path, poly_path = fixture_files
-        monkeypatch.setenv(SCAN_BOUND_ENV, "many")
-        assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 2
-        assert SCAN_BOUND_ENV in capsys.readouterr().err
 
     def test_scan_bound_above_cap_is_usage_error_before_any_sieve(
         self, fixture_files, tmp_path, capsys, monkeypatch
@@ -455,10 +427,9 @@ class TestVerifyCommand:
         assert main(verify + ["--scan-bound", huge]) == 2
         err = capsys.readouterr().err
         assert err == f"gspmax: scan bound must be between 2 and {MAX_SCAN_BOUND}, got {huge}\n"
-        monkeypatch.setenv(SCAN_BOUND_ENV, str(MAX_SCAN_BOUND + 1))
-        assert main(verify) == 2
         out = tmp_path / "cert.json"
-        assert main(["construct", "--genus", "6", "--out", str(out)]) == 2
+        too_big = ["--scan-bound", str(MAX_SCAN_BOUND + 1)]
+        assert main(["construct", "--genus", "6", "--out", str(out)] + too_big) == 2
         assert "scan bound must be between" in capsys.readouterr().err
         assert not out.exists()
 
@@ -811,6 +782,10 @@ class TestCertifiedClass:
                 "repair.repaired_primes: primes must be strictly increasing",
                 id="repaired-primes-repeated",
             ),
+            pytest.param(
+                (), _f0_and_f_raised_by_n, "f0[0]: need 0 <= coefficient < N",
+                id="f0-and-f-raised-by-N",
+            ),
         ],
     )
     def test_class_that_misses_the_plan_is_usage_error(
@@ -820,7 +795,7 @@ class TestCertifiedClass:
         data = json.loads(cert_path.read_text())
         message = message.format(N=data["N"])
         bad = tmp_path / "bad.json"
-        bad.write_text(_mutated_text(data, path, value))
+        bad.write_text(_mutated_text(data, path, value(data) if callable(value) else value))
         assert main(["verify", "--poly", str(poly_path), "--cert", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"gspmax: malformed certificate file {bad}: {message}\n"

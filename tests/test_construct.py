@@ -18,6 +18,8 @@ from gspmax.arith import (
 from gspmax.cli import MAX_SCAN_BOUND
 from gspmax.construct import (
     DEFAULT_SCAN_BOUND,
+    FIXTURE_SEED,
+    PLAN_FIELDS,
     ExceptionalGenusError,
     PrimePlan,
     TripleRootScreen,
@@ -29,7 +31,7 @@ from gspmax.construct import (
 )
 from gspmax.goldbach import GoldbachTuple, two_g_eps_tuples
 from gspmax.localtypes import (
-    FIXTURE_SEED,
+    FIXTURE_WITNESSES_G6,
     ConstructionError,
     LocalSpec,
     multiplicity_profile,
@@ -53,32 +55,52 @@ def _mult_order(a: int, q: int) -> int:
 
 
 def _fixture_plan() -> PrimePlan:
-    return plan_primes(6, _tuple_g6(), seed=FIXTURE_SEED)
+    return PrimePlan(g=6, prime_tuple=_tuple_g6(), **PLAN_G6)
 
 
 class TestPlanPrimes:
     def test_fixture_plan_matches_reference(self):
-        plan = _fixture_plan()
-        got = {
-            "p_t": plan.p_t,
-            "p_t_prime": plan.p_t_prime,
-            "p_2": plan.p_2,
-            "p_2_prime": plan.p_2_prime,
-            "p_3": plan.p_3,
-            "p_3_prime": plan.p_3_prime,
-            "p_irr": plan.p_irr,
-            "p_lin": plan.p_lin,
-        }
-        assert got == PLAN_G6
+        plan = build_certificate(6, seed=FIXTURE_SEED).plan
+        assert {name: getattr(plan, name) for name in PLAN_FIELDS} == PLAN_G6
 
     def test_fixture_plan_limited_to_genus_6(self):
-        tup8 = two_g_eps_tuples(8)[0]
         with pytest.raises(ValueError, match="reference plan"):
-            plan_primes(8, tup8, seed=FIXTURE_SEED)
+            build_certificate(8, seed=FIXTURE_SEED)
 
     def test_default_plan_g6(self):
-        plan = plan_primes(6, _tuple_g6(), seed=0)
+        plan = plan_primes(6, _tuple_g6())
         assert plan.all_primes == (7, 11, 19, 41, 37, 17, 13, 23)
+
+    @pytest.mark.parametrize("g", [6, 8, 9, 10, 11, 14])
+    def test_scan_takes_the_least_prime_for_each_slot(self, g):
+        # the rules restated: every slot takes a prime above g other than 2;
+        # the block-pattern slots take one above 2g + 2 that is a primitive
+        # root mod their tuple primes, and p_2 and p_3 also need 1 mod 3
+        tup = two_g_eps_tuples(g)[0]
+        generators = {
+            "p_2": (tup.q1, tup.q2, tup.q3),
+            "p_3": (tup.q3,),
+            "p_2_prime": (tup.q3, tup.q4, tup.q5),
+            "p_3_prime": (tup.q5,),
+        }
+
+        def fits(slot: str, n: int) -> bool:
+            if slot not in generators:
+                return n > g
+            return (
+                n > 2 * g + 2
+                and (slot not in ("p_2", "p_3") or n % 3 == 1)
+                and all(_mult_order(n, q) == q - 1 for q in generators[slot])
+            )
+
+        plan = plan_primes(g, tup)
+        used: set[int] = set()
+        for slot in ("p_t", "p_t_prime", *generators, "p_irr", "p_lin"):
+            least = next(
+                n for n in range(3, 10**4) if n not in used and is_prime(n) and fits(slot, n)
+            )
+            assert getattr(plan, slot) == least, slot
+            used.add(least)
 
     def test_plan_orders_brute_force(self):
         plan = _fixture_plan()
@@ -120,7 +142,7 @@ class TestPlanPrimes:
     def test_plan_rejects_mismatched_genus(self):
         tup8 = two_g_eps_tuples(8)[0]
         with pytest.raises(ValueError, match="different genus"):
-            plan_primes(6, tup8, seed=0)
+            plan_primes(6, tup8)
 
 
 class TestLocalSpecList:
@@ -158,7 +180,7 @@ class TestLocalSpecList:
 
     def test_menu_moduli_product_for_other_genera(self):
         for g in (8, 9, 10):
-            plan = plan_primes(g, two_g_eps_tuples(g)[0], seed=0)
+            plan = plan_primes(g, two_g_eps_tuples(g)[0])
             specs = plan.specs
             product = 1
             for s in specs:
@@ -172,7 +194,7 @@ class TestLocalSpecList:
 class TestAssemble:
     def _fixture_items(self):
         specs = _fixture_plan().specs
-        return [(s, witness_poly(s, 6, seed=FIXTURE_SEED)) for s in specs]
+        return [(s, FIXTURE_WITNESSES_G6[s.p]) for s in specs]
 
     def test_fixture_assembly_is_bit_exact(self):
         f0, modulus = assemble(self._fixture_items(), 6)
@@ -421,7 +443,7 @@ class TestBuildCertificate:
         assert cert.repair.status == "clean"
         assert len(cert.plan.specs) == 11
         for s in cert.plan.specs:
-            assert witness_poly(s, 6, seed=FIXTURE_SEED) == [c % s.modulus for c in cert.f0]
+            assert FIXTURE_WITNESSES_G6[s.p] == [c % s.modulus for c in cert.f0]
         assert cert.plan.p_irr == 23 and cert.plan.p_lin == 29
 
     def test_default_certificate_g6(self):

@@ -6,7 +6,7 @@ private names, and each of its top-level public names must be read somewhere
 in src/, tests/ or bench/, so that a removal leaves no orphaned import,
 helper or API behind. Inside src/ alone, every public name must be read too,
 except the few listed in TEST_REFERENCES, so that code only the tests reach
-stays visible.
+stays visible. No module in src/gspmax reads the process environment.
 """
 
 import ast
@@ -21,6 +21,8 @@ READERS = [path for part in ("src", "tests", "bench") for path in (ROOT / part).
 # Public names that nothing in src/ reads: references kept for the tests
 # only. A name leaves the set when the program reads it or when it is deleted.
 TEST_REFERENCES = {"hensel_lift_factorization", "conjecture_holds"}
+# What the program may not read: its behaviour is set by its arguments alone.
+ENVIRONMENT_NAMES = ("environ", "getenv")
 # src modules are named by file name, the test and bench modules from the root
 IMPORTERS = {path.name: path for path in MODULES} | {
     str(path.relative_to(ROOT)): path
@@ -131,6 +133,28 @@ def test_the_public_name_check_finds_a_planted_unread_name():
     )
     user = "import mod\nmod.helper()\nNAMES = ('Record',)\n"
     assert unread_public_names(module, names_read([module, user])) == ["orphan", "TABLE"]
+
+
+def environment_reads(source: str) -> list[str]:
+    """The environ and getenv names the source reads from os, as attributes or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [alias.name for alias in node.names if alias.name in ENVIRONMENT_NAMES]
+    return sorted(found)
+
+
+def test_the_program_reads_no_environment():
+    planted = "import os\nfrom os import getenv\nBOUND = os.environ.get('BOUND')\n"
+    assert environment_reads(planted) == ["environ", "getenv"]
+    reads = {
+        path.name: names
+        for path in MODULES
+        if (names := environment_reads(path.read_text(encoding="utf-8")))
+    }
+    assert reads == {}
 
 
 @pytest.mark.parametrize("name", IMPORTERS)

@@ -15,8 +15,9 @@ from gspmax.arith import (
     poly_reduce,
     poly_trim,
 )
+from gspmax import localtypes
 from gspmax.localtypes import (
-    FIXTURE_SEED,
+    FIXTURE_WITNESSES_G6,
     LocalSpec,
     good_reduction_at_2,
     is_t_eisenstein,
@@ -70,15 +71,7 @@ def x_power_minus(deg: int, const: int) -> list[int]:
 
 
 def test_fixture_witnesses_match_frozen_expansion():
-    for p, spec in SPECS_G6.items():
-        assert witness_poly(spec, 6, seed=FIXTURE_SEED) == FIXTURES_G6[p], p
-
-
-def test_fixture_mode_rejects_other_inputs():
-    with pytest.raises(ValueError, match="no fixture witness"):
-        witness_poly(SPECS_G6[19], 8, seed=FIXTURE_SEED)
-    with pytest.raises(ValueError, match="no fixture witness"):
-        witness_poly(LocalSpec(p=13, kind="irreducible", m=1), 6, seed=FIXTURE_SEED)
+    assert FIXTURE_WITNESSES_G6 == FIXTURES_G6
 
 
 def test_eisenstein_examples():
@@ -258,7 +251,7 @@ def test_good_reduction_at_2_input_checks():
         good_reduction_at_2([0] * 14 + [3], 6)
 
 
-def test_witness_errors():
+def test_witness_errors(monkeypatch):
     with pytest.raises(ValueError, match="not enough residues"):
         witness_poly(LocalSpec(p=3, kind="double_roots", m=2, count=5), 6)
     with pytest.raises(ValueError, match="not enough residues"):
@@ -266,7 +259,8 @@ def test_witness_errors():
     with pytest.raises(ValueError, match="exceed"):
         witness_poly(LocalSpec(p=17, kind="type", m=2, t=1, qs=(17,)), 6)
     with pytest.raises(ValueError, match="no witness found"):
-        witness_poly(LocalSpec(p=23, kind="irreducible", m=1), 6, seed=0, budget=0)
+        monkeypatch.setattr(localtypes, "WITNESS_BUDGET", 0)
+        witness_poly(LocalSpec(p=23, kind="irreducible", m=1), 6, seed=0)
 
 
 def test_local_spec_validation():

@@ -1,6 +1,6 @@
-"""An independent sympy oracle for seven flags of check_hypotheses.
+"""An independent sympy oracle for eight flags of check_hypotheses and its verdict.
 
-2T, p2, p3, p2', p3', TT and S_2g+2 are restated here from their
+2T, p2, p3, p2', p3', TT, S_2g+2 and ss are restated here from their
 definitions, with sympy 1.14 alone. f has type t-{q1,...,qk} at p when f mod
 p is a separable part times distinct rational roots of multiplicities
 q1..qk, and each block of the Hensel lift of that factorization mod p^(t+1),
@@ -9,8 +9,12 @@ gf_factor, the lift from dup_zz_hensel_lift and the move from dup_shift. TT
 holds when, at each odd prime ell <= g, every root of f mod ell has
 multiplicity at most 2 and at least g of them are double, as gf_sqf_list
 counts them. S_2g+2 holds when gf_factor finds f irreducible mod p_irr and a
-linear times an irreducible factor, both simple, mod p_lin. No gspmax
-arithmetic is used.
+linear times an irreducible factor, both simple, mod p_lin. ss holds when
+f lies in the 2-adic good-reduction family and, at each prime the
+program's triple-root screen found outside 2 and the four block-pattern
+primes, gf_sqf_list finds no root of multiplicity 3 or more; it is
+conditional when that screen left a composite cofactor. The verdict kind
+and basis are restated from these flags. No gspmax arithmetic is used.
 """
 
 import functools
@@ -21,8 +25,7 @@ from sympy.polys.densetools import dup_shift
 from sympy.polys.factortools import dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_pow, gf_sqf_list
 
-from gspmax.construct import build_certificate
-from gspmax.localtypes import FIXTURE_SEED
+from gspmax.construct import FIXTURE_SEED, build_certificate
 from gspmax.verify import check_hypotheses
 
 TYPE_FLAGS = ("2T", "p2", "p3", "p2'", "p3'")
@@ -89,6 +92,61 @@ def _factor_shape(f: list[int], p: int) -> list[tuple[int, int]]:
     return sorted((len(fac) - 1, e) for fac, e in _factor_mod(f, p))
 
 
+def _max_multiplicity(f: list[int], p: int) -> int:
+    """The largest multiplicity of a root of f mod p, as gf_sqf_list finds it."""
+    return max(e for _, e in gf_sqf_list(_dense_mod(f, p), p, ZZ)[1])
+
+
+def _good_reduction_2(f: list[int], g: int) -> bool:
+    """a_0 = 2^(2g) mod 2^(2g+2), a_(2g+1) = 2 mod 4, 2^(2g+2-i) divides a_i for 1 <= i <= 2g."""
+    n = 2 * g + 2
+    return (
+        (f[0] - 2 ** (n - 2)) % 2**n == 0
+        and f[n - 1] % 4 == 2
+        and all(f[i] % 2 ** (n - i) == 0 for i in range(1, n - 1))
+    )
+
+
+def oracle_ss(f: list[int], plan, screen) -> str:
+    """ss from the 2-adic family and the multiplicities at the screen's found primes."""
+    blocks = {plan.p_2, plan.p_3, plan.p_2_prime, plan.p_3_prime}
+    stray = [
+        p for p in screen.found_primes
+        if p != 2 and p not in blocks and _max_multiplicity(f, p) >= 3
+    ]
+    if not _good_reduction_2(f, plan.g) or stray or screen.residual_cofactor == 0:
+        return "fail"
+    return "pass" if screen.residual_cofactor == 1 else "conditional"
+
+
+def oracle_verdict(f: list[int], plan, screen, flags: dict[str, str]) -> tuple[str, str]:
+    """(kind, basis) of the verdict, from the oracle's flags; 2G+eps and 3 hold for any plan.
+
+    Every flag of the core set passing gives every prime, or every prime but
+    2 when S_2g+2 fails. Otherwise 2T, p2 and p3 passing give the partial
+    set when f is in the 2-adic family, the screen was taken, and each found
+    prime with a triple root, other than 2, p_2 and p_3, is p_2' or p_3'
+    with its flag passing.
+    """
+    ok = {name: status != "fail" for name, status in flags.items()}
+    if all(ok[name] for name in ("2T", "TT", "p2", "p3", "p2'", "p3'", "ss")):
+        kind = "maximal-all-ell" if ok["S_2g+2"] else "maximal-except"
+        return kind, "full-hypothesis-set"
+    allowed = {plan.p_2_prime: ok["p2'"], plan.p_3_prime: ok["p3'"]}
+    admissible = (
+        _good_reduction_2(f, plan.g)
+        and screen.residual_cofactor != 0
+        and all(
+            allowed.get(p, False)
+            for p in screen.found_primes
+            if p not in (2, plan.p_2, plan.p_3) and _max_multiplicity(f, p) >= 3
+        )
+    )
+    if ok["2T"] and ok["p2"] and ok["p3"] and admissible:
+        return "maximal-except", "partial-hypothesis-set"
+    return "none", "insufficient"
+
+
 def oracle_flags(f: list[int], plan) -> dict[str, str]:
     holds = {
         name: all(_type_holds(f, *cond) for cond in conds)
@@ -107,9 +165,16 @@ def _certificate(g: int, seed: int):
     return build_certificate(g, seed=seed)
 
 
-def _reported(f: list[int], plan, **screen) -> dict[str, str]:
-    report = check_hypotheses(f, plan, **screen)
+def _statuses(report) -> dict[str, str]:
     return {name: report.flag(name).status for name in FLAGS}
+
+
+def _assert_ss_and_verdict_match_the_oracle(f: list[int], report, flags: dict[str, str]) -> None:
+    """The report's ss flag and verdict equal the oracle's, given the oracle's other flags."""
+    ss = oracle_ss(f, report.plan, report.screen)
+    assert report.flag("ss").status == ss
+    verdict = oracle_verdict(f, report.plan, report.screen, flags | {"ss": ss})
+    assert (report.verdict.kind, report.verdict.basis) == verdict
 
 
 def _assert_certificate_matches_the_oracle(g: int, seed: int, names: tuple[str, ...]) -> None:
@@ -117,7 +182,9 @@ def _assert_certificate_matches_the_oracle(g: int, seed: int, names: tuple[str, 
     cert = _certificate(g, seed)
     f = list(cert.f)
     screen = cert.repair.screen
-    reported = _reported(f, cert.plan, scan_bound=screen.scan_bound, screen=screen)
+    reported = _statuses(
+        check_hypotheses(f, cert.plan, scan_bound=screen.scan_bound, screen=screen)
+    )
     oracle = oracle_flags(f, cert.plan)
     assert {name: reported[name] for name in names} == {name: oracle[name] for name in names}
     assert {reported[name] for name in names} == {"pass"}
@@ -148,6 +215,32 @@ def test_tt_and_s_flags_match_the_oracle(g, seed):
     _assert_certificate_matches_the_oracle(g, seed, ("TT", "S_2g+2"))
 
 
+@pytest.mark.parametrize("g, seed", CASES)
+def test_ss_and_verdict_match_the_oracle(g, seed):
+    cert = _certificate(g, seed)
+    f = list(cert.f)
+    screen = cert.repair.screen
+    report = check_hypotheses(f, cert.plan, scan_bound=screen.scan_bound, screen=screen)
+    _assert_ss_and_verdict_match_the_oracle(f, report, oracle_flags(f, cert.plan))
+    assert report.flag("ss").status == "pass"
+
+
+@pytest.mark.parametrize("seed", [FIXTURE_SEED, 0], ids=["fixture", "seed0"])
+def test_a_planted_2_adic_mutant_fails_ss_in_both(seed):
+    # adding 2^(2g) through the constant that is 1 mod 2^(2g+2) and 0 modulo
+    # every other spec modulus moves a_0 to 2^(2g+1) mod 2^(2g+2): f leaves
+    # the 2-adic family and stays as it was modulo the other spec moduli
+    cert = _certificate(6, seed)
+    f = list(cert.f)
+    f[0] += 2**12 * _idempotent(cert, 2**14)
+    report = check_hypotheses(f, cert.plan)
+    flags = oracle_flags(f, cert.plan)
+    assert flags == _statuses(report) == {name: "pass" for name in FLAGS}
+    assert report.flag("ss").status == "fail"
+    _assert_ss_and_verdict_match_the_oracle(f, report, flags)
+    assert report.verdict.kind == "none"
+
+
 @pytest.mark.parametrize("seed", [FIXTURE_SEED, 0], ids=["fixture", "seed0"])
 @pytest.mark.parametrize("flag", TYPE_FLAGS)
 def test_a_planted_mutant_fails_its_flag_in_both(flag, seed):
@@ -162,8 +255,10 @@ def test_a_planted_mutant_fails_its_flag_in_both(flag, seed):
     f = list(cert.f)
     f[0] -= a0 * _idempotent(cert, pt1)
     expected = {name: "fail" if name == flag else "pass" for name in FLAGS}
-    assert oracle_flags(f, cert.plan) == expected
-    assert _reported(f, cert.plan) == expected
+    report = check_hypotheses(f, cert.plan)
+    flags = oracle_flags(f, cert.plan)
+    assert flags == _statuses(report) == expected
+    _assert_ss_and_verdict_match_the_oracle(f, report, flags)
 
 
 @pytest.mark.parametrize("seed", [FIXTURE_SEED, 0], ids=["fixture", "seed0"])
@@ -183,5 +278,7 @@ def test_a_planted_mutant_fails_tt_or_s_in_both(flag, slot, seed):
     e = _idempotent(cert, m)
     f = [c - e * (c % m) for c in cert.f[:-1]] + [1]
     expected = {name: "fail" if name == flag else "pass" for name in FLAGS}
-    assert oracle_flags(f, cert.plan) == expected
-    assert _reported(f, cert.plan) == expected
+    report = check_hypotheses(f, cert.plan)
+    flags = oracle_flags(f, cert.plan)
+    assert flags == _statuses(report) == expected
+    _assert_ss_and_verdict_match_the_oracle(f, report, flags)

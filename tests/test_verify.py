@@ -9,15 +9,14 @@ import pytest
 from golden_data import F0, PLAN_G6, TUPLE_G6
 from gspmax import arith
 from gspmax.arith import poly_mul
-from gspmax.construct import PrimePlan, assemble, build_certificate, plan_primes
+from gspmax.construct import FIXTURE_SEED, PrimePlan, assemble, build_certificate, plan_primes
 from gspmax.goldbach import GoldbachTuple, two_g_eps_tuples
-from gspmax.localtypes import FIXTURE_SEED, LocalSpec, multiplicity_profile, witness_poly
+from gspmax.localtypes import LocalSpec, multiplicity_profile, witness_poly
 from gspmax.verify import (
     EXCEPTIONAL_EXCLUDED,
     FLAG_NAMES,
     VerificationReport,
     check_hypotheses,
-    excluded_primes_exceptional,
     verdict,
 )
 
@@ -273,7 +272,7 @@ class TestPartialRoute:
 
 class TestExceptionalTable:
     def test_all_rows(self):
-        assert {g: sorted(excluded_primes_exceptional(g)) for g in EXCEPTIONAL_EXCLUDED} == {
+        assert {g: sorted(row) for g, row in EXCEPTIONAL_EXCLUDED.items()} == {
             2: [3, 5],
             3: [3, 5, 7],
             4: [5, 7],
@@ -282,14 +281,10 @@ class TestExceptionalTable:
             13: [11, 17, 23],
         }
 
-    def test_rows_return_fresh_sets(self):
-        excluded_primes_exceptional(2).add(99)
-        assert excluded_primes_exceptional(2) == {3, 5}
-
     @pytest.mark.parametrize("g", [1, 6, 14])
     def test_missing_rows_raise(self, g):
-        with pytest.raises(ValueError, match="no exceptional-genus row"):
-            excluded_primes_exceptional(g)
+        with pytest.raises(KeyError):
+            EXCEPTIONAL_EXCLUDED[g]
 
 
 class TestScanBounds:
