@@ -8,6 +8,7 @@ take a modulus keep coefficients reduced into [0, m).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Iterator
@@ -298,11 +299,18 @@ def poly_derivative(a: list[int], m: int | None = None) -> list[int]:
 
 
 def poly_compose_shift(a: list[int], s: int, m: int | None = None) -> list[int]:
-    """a(x + s), via Horner on the shifted variable."""
-    out: list[int] = []
-    for c in reversed(a):
-        out = poly_add(poly_mul(out, [s, 1], m), [c], m)
-    return out
+    """a(x + s), by the Ruffini-Horner Taylor shift in place.
+
+    n(n + 1)/2 multiply-adds on one list for a of degree n, each reduced
+    mod m when m is given.
+    """
+    out = list(a) if m is None else [c % m for c in a]
+    n = len(out) - 1
+    for i in range(n):
+        c = out[n]  # out[j + 1] as the inner loop reaches j
+        for j in range(n - 1, i - 1, -1):
+            c = out[j] = out[j] + s * c if m is None else (out[j] + s * c) % m
+    return poly_trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -316,33 +324,126 @@ def fp_monic(a: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
+class _Slots:
+    """The packed (Kronecker-substituted) form of F_p[x] shared by Euclid and powers.
+
+    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+    Algebra, section 8.4) packs a polynomial of degree at most n into one
+    Python int, coefficient i in the width-bit slot i, so that a product of
+    polynomials, or of a polynomial and a scalar, is one big-integer product.
+    A slot holds any nonnegative integer congruent to its coefficient mod p.
+    A division step reads the top slot of a mod p as c and adds
+    (p - c / lead(b)) b to a, shifted to that slot, which leaves it 0 mod p;
+    nothing is subtracted, so no slot borrows. A packed Barrett step brings
+    every slot below 3p: with k = p.bit_length() and mu = 2^s // p, the slot
+    quotient q = ((v >> (k - 1)) mu) >> (s - k + 1) has q <= v / p < q + 3,
+    and the product fits the width 2 (s - k + 1).
+
+    Slots still to be read stay below 2^s, s = bits of 10 (n + 1) p^2, so
+    none carries into the next (a carry out of a slot already read only
+    reaches slots that are masked off): a product of residues of degree
+    below n with slots below 3p has slots below 9 n p^2, its reduction mod
+    a monic modulus of degree n adds fewer than n terms below p^2, and a
+    division of a residue of degree at most n by one with slots below 3p
+    takes at most n + 1 steps of below 3 p^2. One Barrett step per product
+    or remainder keeps the width O(log p + log n) over any number of
+    Euclid steps.
+    """
+
+    def __init__(self, p: int, n: int) -> None:
+        s = (10 * (n + 1) * p * p).bit_length()
+        k = p.bit_length()
+        self.p = p
+        self.width = w = 2 * (s - k + 1)
+        self.slot = (1 << w) - 1
+        self._mu = (1 << s) // p
+        self._drop, self._down = k - 1, s - k + 1
+        ones = ((1 << (n + 1) * w) - 1) // self.slot  # a 1 in each of the slots 0 .. n
+        self._low = ones * ((1 << (w - k + 1)) - 1)
+        self._high = ones * ((1 << (w - self._down)) - 1)
+
+    def pack(self, coeffs: list[int]) -> int:
+        """Coefficients in [0, p) into their slots."""
+        packed, w = 0, self.width
+        for c in reversed(coeffs):
+            packed = (packed << w) | c
+        return packed
+
+    def unpack(self, packed: int, count: int) -> list[int]:
+        """The coefficients mod p of slots 0 .. count - 1, trimmed."""
+        w, slot, p = self.width, self.slot, self.p
+        return poly_trim([(packed >> i * w & slot) % p for i in range(count)])
+
+    def reduce(self, packed: int) -> int:
+        """Each slot, below 2^s, to a congruent value below 3p (one Barrett step)."""
+        q = (((packed >> self._drop & self._low) * self._mu) >> self._down) & self._high
+        return packed - q * self.p
+
+    def divide(self, a: int, da: int, b: int, db: int, inv: int) -> tuple[int, list[int]]:
+        """(r, q) with packed a = q b + r over F_p: a of degree <= da, b of degree db.
+
+        inv is the inverse of lead(b) mod p. r is packed in the slots below
+        db, each below 2^s; q lists the da - db + 1 quotient coefficients,
+        lowest degree first.
+        """
+        p, slot, w = self.p, self.slot, self.width
+        low = db * w
+        q = [0] * (da - db + 1)
+        for i in range(da - db, -1, -1):
+            t = (a >> low + i * w & slot) * inv % p
+            if t:
+                q[i] = t
+                a += (p - t) * b << i * w
+            elif not a & ((1 << low + i * w) - 1):  # every lower slot is 0, so is the rest
+                break
+        return a & ((1 << low) - 1), q
+
+    def gcd(self, a: int, da: int, b: int, db: int) -> tuple[int, int]:
+        """(g, dg): the monic gcd of packed a and b, slots below 3p, and its degree.
+
+        da and db are the exact degrees, -1 for 0; so is dg when both are 0.
+        """
+        w, slot, p = self.width, self.slot, self.p
+        if da < db:
+            a, da, b, db = b, db, a, da
+        inv = 0  # the inverse of lead(a) once a division has run
+        while db >= 0:
+            inv = pow((b >> db * w & slot) % p, -1, p)
+            r = self.divide(a, da, b, db, inv)[0]
+            a, da, b = b, db, self.reduce(r)
+            db -= 1
+            while db >= 0 and not (r >> db * w & slot) % p:
+                db -= 1
+        if da < 0:
+            return 0, -1
+        return self.reduce(a * (inv or pow((a >> da * w & slot) % p, -1, p))), da
+
+
+@functools.lru_cache(maxsize=64)
+def _slots(p: int, n: int) -> _Slots:
+    """The layout for p and degrees up to n, built once per pair."""
+    return _Slots(p, n)
+
+
 def fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b over F_p (b nonzero)."""
+    """Quotient and remainder of a by b over F_p (b nonzero), on packed integers (_Slots)."""
     a = poly_reduce(a, p)
     b = poly_reduce(b, p)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = a[:]
+    slots = _slots(p, max(len(a), len(b)))
     db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        coef = r[-1] * inv % p
-        shift = len(r) - 1 - db
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            r[shift + i] = (r[shift + i] - coef * bc) % p
-        r = poly_trim(r)
-    return poly_trim(q), r
+    r, q = slots.divide(slots.pack(a), len(a) - 1, slots.pack(b), db, pow(b[-1], -1, p))
+    return q, slots.unpack(r, db)
 
 
 def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p."""
+    """Monic gcd over F_p, by Euclid on packed integers (_Slots)."""
     a = poly_reduce(a, p)
     b = poly_reduce(b, p)
-    while b:
-        a, b = b, fp_divmod(a, b, p)[1]
-    return fp_monic(a, p)
+    slots = _slots(p, max(len(a), len(b)))
+    g, dg = slots.gcd(slots.pack(a), len(a) - 1, slots.pack(b), len(b) - 1)
+    return slots.unpack(g, dg + 1)
 
 
 def fp_extgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
@@ -368,19 +469,8 @@ def fp_extgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int],
 def fp_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """base^e mod (mod) over F_p, by square and multiply on packed integers.
 
-    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
-    Algebra, section 8.4): with the modulus made monic of degree n, a
-    polynomial is packed into one Python int, coefficient i in the
-    width-bit slot i, so that each product of two residues is one
-    big-integer product. The product is reduced by schoolbook division in
-    packed form: from slot 2n - 2 down to slot n, the slot is read mod p as
-    t, and t * (x^n mod (mod)), packed and shifted to the slot's position,
-    is added. The n low slots are then unpacked mod p and repacked.
-
-    The slot width (2*n*p^2).bit_length() + 1 keeps slots from carrying
-    into each other: a product coefficient is a sum of at most n terms below
-    p^2, and each of the fewer than n folds that reach a slot adds a term
-    below p^2, so every slot stays below 2*n*p^2.
+    Each product of two packed residues is one big-integer product, reduced
+    by the packed division and one Barrett step of _Slots.
 
     e = 0 gives [1]; for e >= 1 a constant modulus or a base divisible by
     the modulus gives [].
@@ -396,43 +486,19 @@ def fp_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     if not base:
         return []
     n = poly_deg(mod)
-    width = (2 * n * p * p).bit_length() + 1
-    slot = (1 << width) - 1
-    low_mask = (1 << (n * width)) - 1
-    low_shifts = range((n - 1) * width, -1, -width)
-    # (position of slot i, shift that moves slot 0 to slot i - n), i = 2n-2 .. n
-    folds = [(i * width, (i - n) * width) for i in range(2 * n - 2, n - 1, -1)]
+    slots = _slots(p, n)
+    packed_mod = slots.pack(mod)
 
-    def pack(coeffs: list[int]) -> int:
-        packed = 0
-        for c in reversed(coeffs):
-            packed = (packed << width) | c
-        return packed
+    def reduce(product: int) -> int:  # a product of two residues, back to a residue
+        return slots.reduce(slots.divide(product, 2 * n - 2, packed_mod, n, 1)[0])
 
-    x_to_n = pack([-c % p for c in mod[:-1]])  # x^n mod (mod)
-
-    def reduce(product: int) -> int:
-        for at, down in folds:
-            t = ((product >> at) & slot) % p
-            if t:
-                product += (t * x_to_n) << down
-        product &= low_mask
-        packed = 0
-        for at in low_shifts:
-            packed = (packed << width) | ((product >> at) & slot) % p
-        return packed
-
-    packed_base = pack(base)
+    packed_base = slots.pack(base)
     acc = packed_base
     for bit in bin(e)[3:]:
         acc = reduce(acc * acc)
         if bit == "1":
             acc = reduce(acc * packed_base)
-    out = []
-    for _ in range(n):
-        out.append(acc & slot)
-        acc >>= width
-    return poly_trim(out)
+    return slots.unpack(acc, n)
 
 
 def _fp_pth_root(a: list[int], p: int) -> list[int]:
@@ -445,7 +511,8 @@ def fp_squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], i
     """Squarefree decomposition of monic f over F_p.
 
     Returns [(g_e, e), ...] with each g_e monic squarefree, pairwise coprime,
-    and f = prod g_e^e; multiplicities ascending.
+    and f = prod g_e^e; multiplicities ascending. The gcds and exact
+    divisions of the walk stay on packed integers (_Slots).
     """
     out: dict[int, list[int]] = {}
 
@@ -464,17 +531,19 @@ def fp_squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], i
         if not fd:
             walk(_fp_pth_root(f, p), outer * p)
             return
-        c = fp_gcd(f, fd, p)
-        w = fp_divmod(f, c, p)[0]
+        slots = _slots(p, len(f))
+        packed, df = slots.pack(f), len(f) - 1
+        c, dc = slots.gcd(packed, df, slots.pack(fd), len(fd) - 1)
+        w, dw = slots.pack(slots.divide(packed, df, c, dc, 1)[1]), df - dc
         i = 1
-        while poly_deg(w) > 0:
-            y = fp_gcd(w, c, p)
-            accumulate(fp_divmod(w, y, p)[0], i * outer)
-            w = y
-            c = fp_divmod(c, y, p)[0]
+        while dw > 0:
+            y, dy = slots.gcd(w, dw, c, dc)
+            accumulate(slots.divide(w, dw, y, dy, 1)[1], i * outer)
+            w, dw = y, dy
+            c, dc = slots.pack(slots.divide(c, dc, y, dy, 1)[1]), dc - dy
             i += 1
-        if poly_deg(c) > 0:
-            walk(_fp_pth_root(c, p), outer * p)
+        if dc > 0:
+            walk(_fp_pth_root(slots.unpack(c, dc + 1), p), outer * p)
 
     walk(fp_monic(f, p), 1)
     return [(g, e) for e, g in sorted(out.items())]

@@ -43,6 +43,10 @@ SCHEMA_VERSION = 1
 # without limit; sieving to it takes under a second.
 MAX_SCAN_BOUND = 10**7
 
+# goldbach --genus 314 lists 11,599 prime tuples, more than any smaller genus;
+# the tuple search grows with the genus, so larger ones are refused.
+MAX_GENUS = 314
+
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -330,6 +334,13 @@ def write_certificate(path: str, cert: Certificate, report: VerificationReport) 
     _write_json(path, certificate_to_json(cert, report))
 
 
+def _resolve_genus(value: int) -> int:
+    """The --genus value, once it is checked to lie in [1, MAX_GENUS]."""
+    if not 1 <= value <= MAX_GENUS:
+        raise _CliError(EXIT_USAGE, f"genus must be between 1 and {MAX_GENUS}, got {value}")
+    return value
+
+
 def _resolve_scan_bound(value: int) -> int:
     """The --scan-bound value, once it is checked to lie in [2, MAX_SCAN_BOUND]."""
     if not 2 <= value <= MAX_SCAN_BOUND:
@@ -384,9 +395,7 @@ def cmd_goldbach(args: argparse.Namespace) -> int:
         listed = ", ".join(str(n) for n in exceptions) or "none"
         print(f"exceptions up to {args.max}: {listed}")
         return EXIT_PASS
-    g = args.genus
-    if g < 1:
-        raise _CliError(EXIT_USAGE, "genus must be at least 1")
+    g = _resolve_genus(args.genus)
     tuples = two_g_eps_tuples(g)
     n = 2 * g + 2
     if not tuples:
@@ -403,12 +412,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise _CliError(EXIT_USAGE, f"--seed must be non-negative, got {args.seed}")
     seed = FIXTURE_SEED if args.fixture else args.seed
+    g = _resolve_genus(args.genus)
     scan_bound = _resolve_scan_bound(args.scan_bound)
     try:
-        cert = build_certificate(args.genus, seed=seed, scan_bound=scan_bound)
+        cert = build_certificate(g, seed=seed, scan_bound=scan_bound)
     except ExceptionalGenusError as err:
         print(f"gspmax: {err}", file=sys.stderr)
-        if (line := _excluded_line(args.genus)) is not None:
+        if (line := _excluded_line(g)) is not None:
             print(line, file=sys.stderr)
         return EXIT_EXCEPTIONAL
     except ConstructionError as err:
@@ -421,7 +431,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     write_certificate(args.out, cert, report)
     if args.poly_out is not None:
         write_poly_file(args.poly_out, list(cert.f))
-    print(f"certificate for genus {args.genus} written to {args.out}")
+    print(f"certificate for genus {g} written to {args.out}")
     print(report.verdict.text)
     return _report_exit(report)
 

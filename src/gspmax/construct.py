@@ -169,7 +169,7 @@ class PrimePlan:
         )
         return tuple(specs)
 
-    @property
+    @functools.cached_property
     def modulus(self) -> int:
         """N, the product of the spec moduli."""
         return math.prod(spec.modulus for spec in self.specs)

@@ -1,9 +1,13 @@
 """The F_p[x] kernel and the integer resultant against sympy.
 
 Polynomials are drawn small by hypothesis, over p = 2, 3 and a few larger
-primes, and include non-squarefree inputs and degrees 0 and 1. Fixed cases
-cover the sizes of the irreducible and linear-times-irreducible witnesses,
-degree n mod p for (n, p) = (30, 31), (62, 37) and (82, 43).
+primes, and include non-squarefree inputs and degrees 0 and 1. The packed
+Euclid (fp_gcd, fp_divmod and the squarefree walk) is compared with sympy's
+galoistools on pairs that share a drawn factor, and the Taylor shift with
+Poly.shift. Fixed cases cover the sizes of the irreducible and
+linear-times-irreducible witnesses, degree n mod p for (n, p) = (30, 31),
+(62, 37) and (82, 43), and degree 30 mod 2^127 - 1 and 2^521 - 1, where a
+packed slot is about 270 and 1,060 bits wide.
 """
 
 import random
@@ -13,20 +17,29 @@ from hypothesis import given, settings, strategies as st
 
 from golden_data import F0
 from gspmax.arith import (
+    fp_divmod,
     fp_factor,
+    fp_gcd,
     fp_is_irreducible,
     fp_monic,
+    fp_squarefree_decomposition,
+    poly_compose_shift,
     poly_derivative,
     poly_mul,
     poly_reduce,
+    poly_trim,
     resultant,
 )
 
 sympy = pytest.importorskip("sympy")
+galoistools = pytest.importorskip("sympy.polys.galoistools")
+ZZ = sympy.polys.domains.ZZ
 
 X = sympy.Symbol("x")
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31)
 WITNESS_SIZES = ((30, 31), (62, 37), (82, 43))
+# primes whose packed slots are far wider than a machine word
+LARGE_PRIMES = (2**127 - 1, 2**521 - 1)
 # the first seed whose _random_poly(n, p, seed) sympy calls irreducible
 IRREDUCIBLE_SEED = {(30, 31): 23, (62, 37): 3, (82, 43): 43}
 
@@ -81,6 +94,37 @@ def _random_poly(n: int, p: int, seed: int) -> list[int]:
     return [rng.randrange(p) for _ in range(n)] + [1]
 
 
+def _gf(f: list[int]) -> list[int]:
+    """Descending coefficients, the order of sympy's galoistools."""
+    return f[::-1]
+
+
+def _oracle_sqf(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """gf_sqf_list's monic squarefree parts, one per multiplicity, ascending."""
+    parts: dict[int, list[int]] = {}
+    for g, e in galoistools.gf_sqf_list(_gf(f), p, ZZ)[1]:
+        parts[e] = galoistools.gf_mul(parts.get(e, [1]), g, p, ZZ)
+    return [(_gf(g), e) for e, g in sorted(parts.items())]
+
+
+def _assert_euclid_matches_sympy(a: list[int], b: list[int], p: int) -> None:
+    assert fp_gcd(a, b, p) == _gf(galoistools.gf_gcd(_gf(a), _gf(b), p, ZZ))
+    if b:
+        q, r = galoistools.gf_div(_gf(a), _gf(b), p, ZZ)
+        assert fp_divmod(a, b, p) == (_gf(q), _gf(r))
+
+
+@st.composite
+def poly_pair_mod_p(draw):
+    """(a, b, p), reduced mod p, sharing a drawn factor so that gcds of positive degree occur."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=8)
+    common = draw(coeffs)
+    a = poly_reduce(poly_mul(draw(coeffs), common), p)
+    b = poly_reduce(poly_mul(draw(coeffs), common), p)
+    return a, b, p
+
+
 # ---------------------------------------------------------------------------
 # irreducibility
 
@@ -127,6 +171,63 @@ def test_fp_factor_matches_sympy_on_a_square_at_witness_size():
     h = _random_poly(15, 31, 1)
     f = poly_reduce(poly_mul(poly_mul(h, h), [3, 1]), 31)
     assert sorted(fp_factor(f, 31).factors) == _oracle_factors(f, 31)
+
+
+# ---------------------------------------------------------------------------
+# packed Euclid: gcd, division and the squarefree walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_pair_mod_p())
+def test_fp_gcd_and_divmod_match_sympy(case):
+    a, b, p = case
+    _assert_euclid_matches_sympy(a, b, p)
+    _assert_euclid_matches_sympy(b, a, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero_poly_mod_p())
+def test_fp_squarefree_decomposition_matches_sympy(case):
+    f, p = case
+    assert fp_squarefree_decomposition(f, p) == _oracle_sqf(f, p)
+
+
+def _euclid_cases(n: int, p: int) -> list[tuple[list[int], list[int]]]:
+    """Coprime and non-coprime degree-n pairs, f with f', and a division by degree n / 2."""
+    f, h = _random_poly(n, p, 0), _random_poly(n - 1, p, 1)
+    common = _random_poly(n // 3, p, 2)
+    shared = poly_mul(_random_poly(n - n // 3, p, 3), common, p)
+    return [
+        (f, h),
+        (shared, poly_mul(_random_poly(n - n // 3 - 1, p, 4), common, p)),
+        (f, poly_derivative(f, p)),
+        (poly_mul(f, h, p), _random_poly(n // 2, p, 5)),
+    ]
+
+
+@pytest.mark.parametrize("n, p", WITNESS_SIZES + tuple((30, q) for q in LARGE_PRIMES))
+def test_packed_euclid_matches_sympy_at_fixed_sizes(n, p):
+    for a, b in _euclid_cases(n, p):
+        _assert_euclid_matches_sympy(a, b, p)
+    h = _random_poly(n // 2 - 1, p, 6)
+    square = poly_mul(poly_mul(h, h, p), [3, 1], p)
+    assert fp_squarefree_decomposition(square, p) == _oracle_sqf(square, p)
+
+
+# ---------------------------------------------------------------------------
+# Taylor shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), max_size=12),
+    st.integers(-10**4, 10**4),
+    st.sampled_from((None, 2, 23**2, 37**3, 2**127 - 1)),
+)
+def test_poly_compose_shift_matches_sympy(a, s, m):
+    shifted = [int(c) for c in reversed(_sympy_poly(a or [0]).shift(s).all_coeffs())]
+    expected = poly_trim(shifted) if m is None else poly_reduce(shifted, m)
+    assert poly_compose_shift(a, s, m) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from golden_data import F0, N, PLAN_G6
 from gspmax import construct, goldbach, localtypes
 from gspmax.arith import poly_mul
 from gspmax.cli import (
+    MAX_GENUS,
     MAX_SCAN_BOUND,
     certificate_from_json,
     certificate_to_json,
@@ -135,6 +136,16 @@ class TestGoldbachCommand:
             assert main(["goldbach", "--max", str(value)]) == 2
             err = capsys.readouterr().err
             assert err == f"gspmax: --max must be at most {MAX_SCAN_BOUND}, got {value}\n"
+
+    def test_genus_above_cap_is_usage_error_before_any_search(self, capsys, monkeypatch):
+        def no_search(g):
+            raise AssertionError(f"tuple search for genus {g} was started")
+
+        monkeypatch.setattr("gspmax.cli.two_g_eps_tuples", no_search)
+        for value in (MAX_GENUS + 1, 10**8):
+            assert main(["goldbach", "--genus", str(value)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"gspmax: genus must be between 1 and {MAX_GENUS}, got {value}\n"
 
 
 class TestConstructCommand:
@@ -274,6 +285,19 @@ class TestConstructCommand:
         err = capsys.readouterr().err
         assert "admits no prime tuple" in err
         assert "known excluded primes for genus 7: 5, 11, 13" in err
+        assert not out.exists()
+
+    def test_genus_above_cap_is_usage_error_before_any_build(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("build started")
+
+        monkeypatch.setattr("gspmax.cli.build_certificate", no_build)
+        out = tmp_path / "cert.json"
+        for value in (MAX_GENUS + 1, 10**8):
+            assert main(["construct", "--genus", str(value), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"gspmax: genus must be between 1 and {MAX_GENUS}, got {value}\n"
+            assert captured.out == ""
         assert not out.exists()
 
     def test_fixture_flag_limited_to_genus_6(self, tmp_path, capsys):
