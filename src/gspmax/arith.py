@@ -325,7 +325,7 @@ def fp_monic(a: list[int], p: int) -> list[int]:
 
 
 class _Slots:
-    """The packed (Kronecker-substituted) form of F_p[x] shared by Euclid and powers.
+    """The packed (Kronecker-substituted) form of F_p[x]: Euclid, powers and the split.
 
     Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
     Algebra, section 8.4) packs a polynomial of degree at most n into one
@@ -334,20 +334,23 @@ class _Slots:
     A slot holds any nonnegative integer congruent to its coefficient mod p.
     A division step reads the top slot of a mod p as c and adds
     (p - c / lead(b)) b to a, shifted to that slot, which leaves it 0 mod p;
-    nothing is subtracted, so no slot borrows. A packed Barrett step brings
-    every slot below 3p: with k = p.bit_length() and mu = 2^s // p, the slot
-    quotient q = ((v >> (k - 1)) mu) >> (s - k + 1) has q <= v / p < q + 3,
-    and the product fits the width 2 (s - k + 1).
+    nothing is subtracted, so no slot borrows. divide starts at the top
+    nonzero slot of a and records a quotient only when asked, so the Euclid
+    of gcd takes remainders alone. pow_mod is the one square and multiply,
+    for fp_pow_mod and for each Frobenius step h -> h^p mod f of _fp_ddf.
+    A packed Barrett step brings every slot below 3p: with k = p.bit_length()
+    and mu = 2^s // p, the slot quotient q = ((v >> (k - 1)) mu) >> (s - k + 1)
+    has q <= v / p < q + 3, and the product fits the width 2 (s - k + 1).
 
     Slots still to be read stay below 2^s, s = bits of 10 (n + 1) p^2, so
     none carries into the next (a carry out of a slot already read only
     reaches slots that are masked off): a product of residues of degree
     below n with slots below 3p has slots below 9 n p^2, its reduction mod
     a monic modulus of degree n adds fewer than n terms below p^2, and a
-    division of a residue of degree at most n by one with slots below 3p
-    takes at most n + 1 steps of below 3 p^2. One Barrett step per product
-    or remainder keeps the width O(log p + log n) over any number of
-    Euclid steps.
+    division of a residue of degree at most n by one, both with slots below
+    4p (as h - x has), takes at most n + 1 steps of below 4 p^2. One Barrett
+    step per product or remainder keeps the width O(log p + log n) over any
+    number of Euclid steps.
     """
 
     def __init__(self, p: int, n: int) -> None:
@@ -379,24 +382,29 @@ class _Slots:
         q = (((packed >> self._drop & self._low) * self._mu) >> self._down) & self._high
         return packed - q * self.p
 
-    def divide(self, a: int, da: int, b: int, db: int, inv: int) -> tuple[int, list[int]]:
-        """(r, q) with packed a = q b + r over F_p: a of degree <= da, b of degree db.
+    def divide(self, a: int, b: int, db: int, inv: int, q: list[int] | None = None) -> int:
+        """Packed a mod b over F_p in the slots below db, each below 2^s; b of degree db.
 
-        inv is the inverse of lead(b) mod p. r is packed in the slots below
-        db, each below 2^s; q lists the da - db + 1 quotient coefficients,
-        lowest degree first.
+        inv is the inverse of lead(b) mod p. When a list q of deg a - db + 1
+        entries is given, q[i] receives the quotient coefficient of x^i.
         """
         p, slot, w = self.p, self.slot, self.width
         low = db * w
-        q = [0] * (da - db + 1)
-        for i in range(da - db, -1, -1):
+        for i in range((a.bit_length() - 1) // w - db, -1, -1):
             t = (a >> low + i * w & slot) * inv % p
             if t:
-                q[i] = t
+                if q is not None:
+                    q[i] = t
                 a += (p - t) * b << i * w
             elif not a & ((1 << low + i * w) - 1):  # every lower slot is 0, so is the rest
                 break
-        return a & ((1 << low) - 1), q
+        return a & ((1 << low) - 1)
+
+    def quotient(self, a: int, da: int, b: int, db: int) -> list[int]:
+        """The quotient coefficients of packed a of degree da by monic packed b of degree db."""
+        q = [0] * (da - db + 1)
+        self.divide(a, b, db, 1, q)
+        return q
 
     def gcd(self, a: int, da: int, b: int, db: int) -> tuple[int, int]:
         """(g, dg): the monic gcd of packed a and b, slots below 3p, and its degree.
@@ -409,7 +417,7 @@ class _Slots:
         inv = 0  # the inverse of lead(a) once a division has run
         while db >= 0:
             inv = pow((b >> db * w & slot) % p, -1, p)
-            r = self.divide(a, da, b, db, inv)[0]
+            r = self.divide(a, b, db, inv)
             a, da, b = b, db, self.reduce(r)
             db -= 1
             while db >= 0 and not (r >> db * w & slot) % p:
@@ -417,6 +425,15 @@ class _Slots:
         if da < 0:
             return 0, -1
         return self.reduce(a * (inv or pow((a >> da * w & slot) % p, -1, p))), da
+
+    def pow_mod(self, base: int, e: int, mod: int, n: int) -> int:
+        """Packed base^e mod monic packed mod of degree n, e >= 1, base a residue, slots below 3p."""
+        acc = base
+        for bit in bin(e)[3:]:
+            acc = self.reduce(self.divide(acc * acc, mod, n, 1))
+            if bit == "1":
+                acc = self.reduce(self.divide(acc * base, mod, n, 1))
+        return acc
 
 
 @functools.lru_cache(maxsize=64)
@@ -433,7 +450,8 @@ def fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
         raise ZeroDivisionError("division by zero polynomial")
     slots = _slots(p, max(len(a), len(b)))
     db = len(b) - 1
-    r, q = slots.divide(slots.pack(a), len(a) - 1, slots.pack(b), db, pow(b[-1], -1, p))
+    q = [0] * (len(a) - db)
+    r = slots.divide(slots.pack(a), slots.pack(b), db, pow(b[-1], -1, p), q)
     return q, slots.unpack(r, db)
 
 
@@ -467,10 +485,7 @@ def fp_extgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int],
 
 
 def fp_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base^e mod (mod) over F_p, by square and multiply on packed integers.
-
-    Each product of two packed residues is one big-integer product, reduced
-    by the packed division and one Barrett step of _Slots.
+    """base^e mod (mod) over F_p, by square and multiply on packed integers (_Slots.pow_mod).
 
     e = 0 gives [1]; for e >= 1 a constant modulus or a base divisible by
     the modulus gives [].
@@ -487,18 +502,7 @@ def fp_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
         return []
     n = poly_deg(mod)
     slots = _slots(p, n)
-    packed_mod = slots.pack(mod)
-
-    def reduce(product: int) -> int:  # a product of two residues, back to a residue
-        return slots.reduce(slots.divide(product, 2 * n - 2, packed_mod, n, 1)[0])
-
-    packed_base = slots.pack(base)
-    acc = packed_base
-    for bit in bin(e)[3:]:
-        acc = reduce(acc * acc)
-        if bit == "1":
-            acc = reduce(acc * packed_base)
-    return slots.unpack(acc, n)
+    return slots.unpack(slots.pow_mod(slots.pack(base), e, slots.pack(mod), n), n)
 
 
 def _fp_pth_root(a: list[int], p: int) -> list[int]:
@@ -534,13 +538,13 @@ def fp_squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], i
         slots = _slots(p, len(f))
         packed, df = slots.pack(f), len(f) - 1
         c, dc = slots.gcd(packed, df, slots.pack(fd), len(fd) - 1)
-        w, dw = slots.pack(slots.divide(packed, df, c, dc, 1)[1]), df - dc
+        w, dw = slots.pack(slots.quotient(packed, df, c, dc)), df - dc
         i = 1
         while dw > 0:
             y, dy = slots.gcd(w, dw, c, dc)
-            accumulate(slots.divide(w, dw, y, dy, 1)[1], i * outer)
+            accumulate(slots.quotient(w, dw, y, dy), i * outer)
             w, dw = y, dy
-            c, dc = slots.pack(slots.divide(c, dc, y, dy, 1)[1]), dc - dy
+            c, dc = slots.pack(slots.quotient(c, dc, y, dy)), dc - dy
             i += 1
         if dc > 0:
             walk(_fp_pth_root(slots.unpack(c, dc + 1), p), outer * p)
@@ -566,22 +570,31 @@ def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
     d + 1; once 2d exceeds deg f, what is left is irreducible. Each block is
     yielded as soon as it is found. For f that is not squarefree only the
     first block is meaningful: its degree is the least degree of an
-    irreducible factor of f.
+    irreducible factor of f. f is packed once (_Slots). h, h - x (as
+    h + (p - 1) x, so that no slot goes negative) and each cofactor, packed
+    from the quotient its division records, stay packed; only the yielded
+    blocks are unpacked.
     """
-    h = [0, 1]  # x
-    x = [0, 1]
+    n = poly_deg(f)
+    slots = _slots(p, n)
+    w, slot = slots.width, slots.slot
+    f = slots.pack(f)
+    h = 1 << w  # x
     d = 0
-    while poly_deg(f) > 0:
+    while n > 0:
         d += 1
-        if 2 * d > poly_deg(f):
-            yield f, poly_deg(f)
+        if 2 * d > n:
+            yield slots.unpack(f, n + 1), n
             return
-        h = fp_pow_mod(h, p, f, p)
-        g = fp_gcd(poly_sub(h, x, p), f, p)
-        if poly_deg(g) > 0:
-            yield g, d
-            f = fp_divmod(f, g, p)[0]
-            h = fp_divmod(h, f, p)[1]
+        h = slots.pow_mod(h, p, f, n)
+        h_x, dh = h + ((p - 1) << w), n - 1
+        while dh >= 0 and not (h_x >> dh * w & slot) % p:
+            dh -= 1
+        g, dg = slots.gcd(h_x, dh, f, n)
+        if dg > 0:
+            yield slots.unpack(g, dg + 1), d
+            f, n = slots.pack(slots.quotient(f, n, g, dg)), n - dg
+            h = slots.reduce(slots.divide(h, f, n, 1))
 
 
 def _fp_edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -718,23 +731,26 @@ def hensel_lift_factorization(
 # resultants
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
-    r = a[:]
-    db = poly_deg(b)
-    lb = b[-1]
-    steps = poly_deg(a) - db + 1
-    done = 0
-    while r and poly_deg(r) >= db:
-        shift = poly_deg(r) - db
-        lead = r[-1]
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= lead * bc
-        r = poly_trim(r)
-        done += 1
-    if done < steps:
-        r = [lb ** (steps - done) * c for c in r]
-    return r
+    """Pseudo-remainder: lc(b)^(delta + 1) * a mod b over Z, delta = deg a - deg b.
+
+    One pass: the usual loop, which scales by lc(b) before each step, runs on
+    the top delta + 1 coefficients alone to find the lead t_k it removes at
+    each shift k. Each lower coefficient is then formed once,
+    r_i = lc(b)^(delta + 1) a_i - sum_k lc(b)^k t_k b_(i-k).
+    """
+    db, lb = poly_deg(b), b[-1]
+    top, t = a[db:], []
+    padded = [0] * len(top) + b  # top[j] meets padded[len(padded) - 1 - k + j] at shift k
+    for k in range(len(top) - 1, -1, -1):
+        t.append(top[k])
+        top = [lb * c - t[-1] * bc for c, bc in zip(top, padded[len(padded) - 1 - k :])]
+    scale = lb ** len(t)
+    r = [scale * c for c in a[:db]]
+    for k, tk in enumerate(reversed(t)):
+        if tk:
+            tk *= lb**k
+            r[k:] = [c - tk * bc for c, bc in zip(r[k:], b)]
+    return poly_trim(r)
 
 
 def _exact_div(a: list[int], d: int) -> list[int]:

@@ -472,13 +472,13 @@ def test_fp_is_irreducible_on_squares_and_repeated_roots():
 
 def test_root_in_f_p_is_rejected_after_one_frobenius_step(monkeypatch):
     calls = []
-    real = arith.fp_pow_mod
+    real = arith._Slots.pow_mod
 
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counting(slots, base, e, mod, n):
+        calls.append(e)
+        return real(slots, base, e, mod, n)
 
-    monkeypatch.setattr(arith, "fp_pow_mod", counting)
+    monkeypatch.setattr(arith._Slots, "pow_mod", counting)
     p = 23
     with_root = poly_mul([p - 4, 1], IRREDUCIBLE_MOD_23, p)  # root 4, degree 15
     assert not fp_is_irreducible(with_root, p)

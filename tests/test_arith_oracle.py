@@ -4,10 +4,15 @@ Polynomials are drawn small by hypothesis, over p = 2, 3 and a few larger
 primes, and include non-squarefree inputs and degrees 0 and 1. The packed
 Euclid (fp_gcd, fp_divmod and the squarefree walk) is compared with sympy's
 galoistools on pairs that share a drawn factor, and the Taylor shift with
-Poly.shift. Fixed cases cover the sizes of the irreducible and
-linear-times-irreducible witnesses, degree n mod p for (n, p) = (30, 31),
-(62, 37) and (82, 43), and degree 30 mod 2^127 - 1 and 2^521 - 1, where a
-packed slot is about 270 and 1,060 bits wide.
+Poly.shift. The packed distinct-degree split (_fp_ddf) is compared with
+gf_ddf_zassenhaus on squarefree inputs, and fp_pow_mod with gf_pow_mod,
+including exponents 0 and 1, bases of degree above the modulus and powers
+that stay below the modulus, so that no division step runs. Fixed cases
+cover the sizes of the irreducible and linear-times-irreducible witnesses,
+degree n mod p for (n, p) = (30, 31), (62, 37) and (82, 43), and degree 30
+mod 2^127 - 1 and 2^521 - 1, where a packed slot is about 270 and 1,060
+bits wide. The resultant's fixed cases include degree gaps of 2 and 3
+inside the subresultant sequence and a zero resultant.
 """
 
 import random
@@ -17,12 +22,15 @@ from hypothesis import given, settings, strategies as st
 
 from golden_data import F0
 from gspmax.arith import (
+    _fp_ddf,
     fp_divmod,
     fp_factor,
     fp_gcd,
     fp_is_irreducible,
     fp_monic,
+    fp_pow_mod,
     fp_squarefree_decomposition,
+    poly_add,
     poly_compose_shift,
     poly_derivative,
     poly_mul,
@@ -215,6 +223,70 @@ def test_packed_euclid_matches_sympy_at_fixed_sizes(n, p):
 
 
 # ---------------------------------------------------------------------------
+# packed distinct-degree split and modular powers
+
+
+def _assert_ddf_matches_sympy(f: list[int], p: int) -> None:
+    """f monic and squarefree mod p: the same (block, degree) pairs in the same order."""
+    expected = [(_gf(g), d) for g, d in galoistools.gf_ddf_zassenhaus(_gf(f), p, ZZ)]
+    assert list(_fp_ddf(f, p)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero_poly_mod_p())
+def test_fp_ddf_matches_sympy_on_squarefree_parts(case):
+    f, p = case
+    for part, _ in fp_squarefree_decomposition(f, p):
+        _assert_ddf_matches_sympy(part, p)
+
+
+@pytest.mark.parametrize("n, p", WITNESS_SIZES)
+def test_fp_ddf_matches_sympy_at_witness_sizes(n, p):
+    linear = [1]
+    for r in range(5):
+        linear = poly_mul(linear, [p - r, 1], p)
+    cases = [_random_poly(n, p, seed) for seed in range(4)]
+    cases.append(poly_mul(linear, _random_poly(n - 5, p, IRREDUCIBLE_SEED[n, p]), p))
+    cases.append(_random_poly(n, p, IRREDUCIBLE_SEED[n, p]))
+    for f in cases:
+        if galoistools.gf_sqf_p(_gf(f), p, ZZ):
+            _assert_ddf_matches_sympy(f, p)
+
+
+def _assert_pow_mod_matches_sympy(base: list[int], e: int, mod: list[int], p: int) -> None:
+    expected = galoistools.gf_pow_mod(_gf(poly_trim(base)), e, _gf(mod), p, ZZ)
+    assert fp_pow_mod(base, e, mod, p) == _gf(expected)
+
+
+@st.composite
+def pow_mod_case(draw):
+    """(base, e, mod, p): a base of up to twice the modulus' degree, a nonzero modulus."""
+    p = draw(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
+    coeff = st.integers(0, p - 1)
+    mod = draw(st.lists(coeff, max_size=8)) + [draw(st.integers(1, p - 1))]
+    base = draw(st.lists(coeff, max_size=2 * len(mod)))
+    e = draw(st.integers(0, 3) | st.integers(0, 10**6) | st.just(p))
+    return base, e, mod, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(pow_mod_case())
+def test_fp_pow_mod_matches_sympy(case):
+    _assert_pow_mod_matches_sympy(*case)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES + LARGE_PRIMES)
+def test_fp_pow_mod_matches_sympy_at_fixed_cases(p):
+    mod = _random_poly(16, p, 7)
+    base = _random_poly(23, p, 8)  # degree above the modulus
+    for e in (0, 1, 2, p, 2**40 + 3):
+        _assert_pow_mod_matches_sympy(base, e, mod, p)
+    # powers of degree below 16: the squarings need no division step
+    for small, e in (([0, 1], 15), ([0, 0, 1], 7), ([1, 1], 9), ([0, 1], p)):
+        _assert_pow_mod_matches_sympy(small, e, mod, p)
+
+
+# ---------------------------------------------------------------------------
 # Taylor shift
 
 
@@ -247,6 +319,27 @@ def test_resultant_matches_sympy_on_the_screen_pairs_of_f0():
     d2 = poly_derivative(d1)
     for a, b in ((F0, d1), (d1, d2), (F0, d2)):
         assert resultant(a, b) == _oracle_resultant(a, b)
+
+
+def test_resultant_matches_sympy_with_degree_gaps_inside_the_prs():
+    # r1 = s r2 + r3 and b = q r1 + r2 with deg r2 = deg r1 - 3 and
+    # deg r3 = deg r2 - 2, so the sequence from (b, r1) drops three degrees,
+    # then two; a degree gap of 5 opens it
+    r3 = [4, -3]
+    r2 = [2, 7, -1, 5]
+    r1 = poly_add(poly_mul([1, -2, 0, 3], r2), r3)
+    b = poly_add(poly_mul([-3, 1, 2], r1), r2)
+    a = poly_add(poly_mul([1, 0, -1, 2, 0, 1], b), [6, 0, -5, 1])
+    for x, y in ((b, r1), (r1, b), (a, b), (a, r1), (r1, r2)):
+        assert resultant(x, y) == _oracle_resultant(x, y)
+
+
+def test_resultant_is_zero_on_a_common_factor():
+    common = [1, 0, 1]
+    a = poly_mul(common, [5, -2, 0, 1])
+    b = poly_mul(common, [4, -1, 3])
+    assert resultant(a, b) == 0 == _oracle_resultant(a, b)
+    assert resultant(poly_mul(a, a), b) == 0 == _oracle_resultant(poly_mul(a, a), b)
 
 
 @pytest.mark.parametrize("n", [30, 62])
