@@ -335,26 +335,30 @@ class _Slots:
     A division step reads the top slot of a mod p as c and adds
     (p - c / lead(b)) b to a, shifted to that slot, which leaves it 0 mod p;
     nothing is subtracted, so no slot borrows. divide starts at the top
-    nonzero slot of a and records a quotient only when asked, so the Euclid
-    of gcd takes remainders alone. pow_mod is the one square and multiply,
-    for fp_pow_mod and for each Frobenius step h -> h^p mod f of _fp_ddf.
+    nonzero slot of a and records a quotient only when asked. gcd takes the
+    same steps from the low end, where the slot to clear is slot 0 and the
+    division by x that follows is one shift. pow_mod is the one square and
+    multiply, for fp_pow_mod and for each Frobenius step h -> h^p mod f of
+    _fp_ddf; mul_mod takes each of its products mod f by polynomial Barrett,
+    two big-integer products in place of a division step per slot.
     A packed Barrett step brings every slot below 3p: with k = p.bit_length()
     and mu = 2^s // p, the slot quotient q = ((v >> (k - 1)) mu) >> (s - k + 1)
     has q <= v / p < q + 3, and the product fits the width 2 (s - k + 1).
 
-    Slots still to be read stay below 2^s, s = bits of 10 (n + 1) p^2, so
+    Slots still to be read stay below 2^s, s = bits of 12 (n + 1) p^2, so
     none carries into the next (a carry out of a slot already read only
     reaches slots that are masked off): a product of residues of degree
-    below n with slots below 3p has slots below 9 n p^2, its reduction mod
-    a monic modulus of degree n adds fewer than n terms below p^2, and a
-    division of a residue of degree at most n by one, both with slots below
-    4p (as h - x has), takes at most n + 1 steps of below 4 p^2. One Barrett
-    step per product or remainder keeps the width O(log p + log n) over any
-    number of Euclid steps.
+    below n with slots below 3p has slots below 9 n p^2, its Barrett
+    remainder mod a monic modulus of degree n adds fewer than n terms below
+    3 p^2 to them, and a division of a residue of degree at most n by one,
+    both with slots below 4p (as h - x has), takes at most n + 1 steps of
+    below 4 p^2, and so does gcd between two swaps. A Barrett step after
+    each product, remainder and swap keeps the width O(log p + log n) over
+    any number of steps.
     """
 
     def __init__(self, p: int, n: int) -> None:
-        s = (10 * (n + 1) * p * p).bit_length()
+        s = (12 * (n + 1) * p * p).bit_length()
         k = p.bit_length()
         self.p = p
         self.width = w = 2 * (s - k + 1)
@@ -410,29 +414,72 @@ class _Slots:
         """(g, dg): the monic gcd of packed a and b, slots below 3p, and its degree.
 
         da and db are the exact degrees, -1 for 0; so is dg when both are 0.
+        Euclid runs from the low end. With the powers of x that divide a and
+        b taken out (the smaller one comes back on the result), both constant
+        terms are nonzero and gcd(a, b) = gcd((a - t b) / x, b) for
+        t = a(0) / b(0): a step clears slot 0 and shifts it out. a and b swap
+        whenever the degree bound of a falls below that of b, so the two
+        bounds sum down by at least one per step.
         """
         w, slot, p = self.width, self.slot, self.p
         if da < db:
             a, da, b, db = b, db, a, da
-        inv = 0  # the inverse of lead(a) once a division has run
-        while db >= 0:
-            inv = pow((b >> db * w & slot) % p, -1, p)
-            r = self.divide(a, b, db, inv)
-            a, da, b = b, db, self.reduce(r)
+        if db < 0:  # gcd(a, 0) is a made monic
+            if da < 0:
+                return 0, -1
+            return self.reduce(a * pow((a >> da * w & slot) % p, -1, p)), da
+        va = vb = 0  # the powers of x that divide a and b
+        while not (a >> va * w & slot) % p:
+            va += 1
+        while not (b >> vb * w & slot) % p:
+            vb += 1
+        a, da, b, db = a >> va * w, da - va, b >> vb * w, db - vb
+        if da < db:
+            a, da, b, db = b, db, a, da
+        inv = pow((b & slot) % p, -1, p)
+        while a:
+            a = (a + (p - (a & slot) * inv % p) * b) >> w
+            da -= 1
+            while a and not (a & slot) % p:
+                a, da = a >> w, da - 1
+            if a and da < db:
+                a, da, b, db = b, db, self.reduce(a), da
+                inv = pow((b & slot) % p, -1, p)
+        while not (b >> db * w & slot) % p:
             db -= 1
-            while db >= 0 and not (r >> db * w & slot) % p:
-                db -= 1
-        if da < 0:
-            return 0, -1
-        return self.reduce(a * (inv or pow((a >> da * w & slot) % p, -1, p))), da
+        g, v = self.reduce(b * pow((b >> db * w & slot) % p, -1, p)), min(va, vb)
+        return g << v * w, db + v
+
+    def mul_mod(self, a: int, b: int, mod: int, n: int) -> int:
+        """Packed a b mod monic packed mod of degree n, for residues a, b with slots below 3p.
+
+        A product A that reaches slot n is reduced by polynomial Barrett: with
+        A = A1 x^n + A0 and mu = x^(2n - 2) div mod, its quotient by mod is
+        A1 mu div x^(n - 2) exactly, as deg A <= 2n - 2, and its remainder is
+        A0 plus the low n slots of that quotient times -mod.
+        """
+        a *= b
+        top = n * self.width
+        if a >> top:
+            mu, neg = self._barrett(mod, n)
+            q = self.reduce(self.reduce(a >> top) * mu >> top - 2 * self.width)
+            low = (1 << top) - 1
+            a = (a & low) + (q * neg & low)
+        return self.reduce(a)
+
+    @functools.lru_cache(maxsize=16)
+    def _barrett(self, mod: int, n: int) -> tuple[int, int]:
+        """(mu, -mod) packed for mul_mod: x^(2n - 2) div mod, and the low n slots of -mod mod p."""
+        mu = self.pack(self.quotient(1 << (2 * n - 2) * self.width, 2 * n - 2, mod, n))
+        return mu, self.pack([-c % self.p for c in self.unpack(mod, n)])
 
     def pow_mod(self, base: int, e: int, mod: int, n: int) -> int:
         """Packed base^e mod monic packed mod of degree n, e >= 1, base a residue, slots below 3p."""
         acc = base
         for bit in bin(e)[3:]:
-            acc = self.reduce(self.divide(acc * acc, mod, n, 1))
+            acc = self.mul_mod(acc, acc, mod, n)
             if bit == "1":
-                acc = self.reduce(self.divide(acc * base, mod, n, 1))
+                acc = self.mul_mod(acc, base, mod, n)
         return acc
 
 
@@ -516,7 +563,9 @@ def fp_squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], i
 
     Returns [(g_e, e), ...] with each g_e monic squarefree, pairwise coprime,
     and f = prod g_e^e; multiplicities ascending. The gcds and exact
-    divisions of the walk stay on packed integers (_Slots).
+    divisions of the walk stay on packed integers (_Slots); once the gcd c
+    of the walk is 1 (at once for squarefree f), the piece left is the last
+    one, and nothing is divided by 1.
     """
     out: dict[int, list[int]] = {}
 
@@ -538,14 +587,16 @@ def fp_squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], i
         slots = _slots(p, len(f))
         packed, df = slots.pack(f), len(f) - 1
         c, dc = slots.gcd(packed, df, slots.pack(fd), len(fd) - 1)
-        w, dw = slots.pack(slots.quotient(packed, df, c, dc)), df - dc
-        i = 1
-        while dw > 0:
+        w, dw, i = packed, df, 1
+        if dc > 0:
+            w, dw = slots.pack(slots.quotient(packed, df, c, dc)), df - dc
+        while dc > 0 and dw > 0:
             y, dy = slots.gcd(w, dw, c, dc)
             accumulate(slots.quotient(w, dw, y, dy), i * outer)
             w, dw = y, dy
             c, dc = slots.pack(slots.quotient(c, dc, y, dy)), dc - dy
             i += 1
+        accumulate(slots.unpack(w, dw + 1), i * outer)  # once c = 1, w is the last piece
         if dc > 0:
             walk(_fp_pth_root(slots.unpack(c, dc + 1), p), outer * p)
 
@@ -743,7 +794,7 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     padded = [0] * len(top) + b  # top[j] meets padded[len(padded) - 1 - k + j] at shift k
     for k in range(len(top) - 1, -1, -1):
         t.append(top[k])
-        top = [lb * c - t[-1] * bc for c, bc in zip(top, padded[len(padded) - 1 - k :])]
+        top = [lb * c - t[-1] * bc for c, bc in zip(top[:k], padded[len(padded) - 1 - k :])]
     scale = lb ** len(t)
     r = [scale * c for c in a[:db]]
     for k, tk in enumerate(reversed(t)):

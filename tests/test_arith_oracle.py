@@ -3,16 +3,17 @@
 Polynomials are drawn small by hypothesis, over p = 2, 3 and a few larger
 primes, and include non-squarefree inputs and degrees 0 and 1. The packed
 Euclid (fp_gcd, fp_divmod and the squarefree walk) is compared with sympy's
-galoistools on pairs that share a drawn factor, and the Taylor shift with
-Poly.shift. The packed distinct-degree split (_fp_ddf) is compared with
-gf_ddf_zassenhaus on squarefree inputs, and fp_pow_mod with gf_pow_mod,
-including exponents 0 and 1, bases of degree above the modulus and powers
-that stay below the modulus, so that no division step runs. Fixed cases
-cover the sizes of the irreducible and linear-times-irreducible witnesses,
-degree n mod p for (n, p) = (30, 31), (62, 37) and (82, 43), and degree 30
-mod 2^127 - 1 and 2^521 - 1, where a packed slot is about 270 and 1,060
-bits wide. The resultant's fixed cases include degree gaps of 2 and 3
-inside the subresultant sequence and a zero resultant.
+galoistools on pairs that share a drawn factor, among them pairs that
+different powers of x divide, and the Taylor shift with Poly.shift. The
+packed distinct-degree split (_fp_ddf) is compared with gf_ddf_zassenhaus on
+squarefree inputs, and fp_pow_mod with gf_pow_mod, including exponents 0
+and 1, bases of degree above the modulus and powers that stay below the
+modulus, so that no product needs reducing. Fixed cases cover the sizes of
+the irreducible and linear-times-irreducible witnesses, degree n mod p for
+(n, p) = (30, 31), (62, 37) and (82, 43), and degree 30 mod 2^127 - 1 and
+2^521 - 1, where a packed slot is about 270 and 1,060 bits wide. The
+resultant's fixed cases include degree gaps of 2 and 3 inside the
+subresultant sequence and a zero resultant.
 """
 
 import random
@@ -201,7 +202,8 @@ def test_fp_squarefree_decomposition_matches_sympy(case):
 
 
 def _euclid_cases(n: int, p: int) -> list[tuple[list[int], list[int]]]:
-    """Coprime and non-coprime degree-n pairs, f with f', and a division by degree n / 2."""
+    """Coprime and non-coprime degree-n pairs, f with f', a division by degree n / 2,
+    and a pair that x^2 and x^3 divide, for the powers of x that gcd sets aside."""
     f, h = _random_poly(n, p, 0), _random_poly(n - 1, p, 1)
     common = _random_poly(n // 3, p, 2)
     shared = poly_mul(_random_poly(n - n // 3, p, 3), common, p)
@@ -210,6 +212,7 @@ def _euclid_cases(n: int, p: int) -> list[tuple[list[int], list[int]]]:
         (shared, poly_mul(_random_poly(n - n // 3 - 1, p, 4), common, p)),
         (f, poly_derivative(f, p)),
         (poly_mul(f, h, p), _random_poly(n // 2, p, 5)),
+        (poly_mul([0, 0, 1], shared, p), poly_mul([0, 0, 0, 1], common, p)),
     ]
 
 
@@ -281,7 +284,7 @@ def test_fp_pow_mod_matches_sympy_at_fixed_cases(p):
     base = _random_poly(23, p, 8)  # degree above the modulus
     for e in (0, 1, 2, p, 2**40 + 3):
         _assert_pow_mod_matches_sympy(base, e, mod, p)
-    # powers of degree below 16: the squarings need no division step
+    # powers of degree below 16: no product needs reducing
     for small, e in (([0, 1], 15), ([0, 0, 1], 7), ([1, 1], 9), ([0, 1], p)):
         _assert_pow_mod_matches_sympy(small, e, mod, p)
 
