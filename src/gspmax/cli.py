@@ -9,7 +9,6 @@ import sys
 
 from .arith import is_prime, poly_deg
 from .construct import (
-    DEFAULT_SCAN_BOUND,
     FIXTURE_SEED,
     PLAN_FIELDS,
     Certificate,
@@ -39,9 +38,9 @@ from .verify import (
 )
 
 SCHEMA_VERSION = 1
-# Largest accepted scan bound and goldbach --max, so that no sieve grows
-# without limit; sieving to it takes under a second.
-MAX_SCAN_BOUND = 10**7
+# Largest accepted goldbach --max, so that its sieve does not grow without
+# limit; sieving to it takes under a second.
+MAX_GOLDBACH_BOUND = 10**7
 
 # goldbach --genus 314 lists 11,599 prime tuples, more than any smaller genus;
 # the tuple search grows with the genus, so larger ones are refused.
@@ -74,7 +73,7 @@ def _parse_int(value: object) -> int:
         return value
     if isinstance(value, str):
         body = value[1:] if value.startswith("-") else value
-        if body.isdigit():
+        if body.isascii() and body.isdigit():
             return int(value)
     raise ValueError(f"not a decimal integer: {_shown(value)}")
 
@@ -341,15 +340,6 @@ def _resolve_genus(value: int) -> int:
     return value
 
 
-def _resolve_scan_bound(value: int) -> int:
-    """The --scan-bound value, once it is checked to lie in [2, MAX_SCAN_BOUND]."""
-    if not 2 <= value <= MAX_SCAN_BOUND:
-        raise _CliError(
-            EXIT_USAGE, f"scan bound must be between 2 and {MAX_SCAN_BOUND}, got {value}"
-        )
-    return value
-
-
 def _report_exit(report: VerificationReport) -> int:
     if any(fl.status == "fail" for fl in report.flags) or report.verdict.kind == "none":
         return EXIT_FAIL
@@ -386,8 +376,10 @@ def _excluded_line(g: int) -> str | None:
 
 def cmd_goldbach(args: argparse.Namespace) -> int:
     if args.max is not None:
-        if args.max > MAX_SCAN_BOUND:
-            raise _CliError(EXIT_USAGE, f"--max must be at most {MAX_SCAN_BOUND}, got {args.max}")
+        if args.max > MAX_GOLDBACH_BOUND:
+            raise _CliError(
+                EXIT_USAGE, f"--max must be at most {MAX_GOLDBACH_BOUND}, got {args.max}"
+            )
         try:
             exceptions = verify_range(args.max)
         except ValueError as err:
@@ -413,9 +405,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_USAGE, f"--seed must be non-negative, got {args.seed}")
     seed = FIXTURE_SEED if args.fixture else args.seed
     g = _resolve_genus(args.genus)
-    scan_bound = _resolve_scan_bound(args.scan_bound)
     try:
-        cert = build_certificate(g, seed=seed, scan_bound=scan_bound)
+        cert = build_certificate(g, seed=seed)
     except ExceptionalGenusError as err:
         print(f"gspmax: {err}", file=sys.stderr)
         if (line := _excluded_line(g)) is not None:
@@ -425,9 +416,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_CONSTRUCTION, f"construction failed: {err}") from err
     except ValueError as err:
         raise _CliError(EXIT_USAGE, str(err)) from err
-    report = check_hypotheses(
-        list(cert.f), cert.plan, scan_bound=scan_bound, screen=cert.repair.screen
-    )
+    report = check_hypotheses(list(cert.f), cert.plan, screen=cert.repair.screen)
     write_certificate(args.out, cert, report)
     if args.poly_out is not None:
         write_poly_file(args.poly_out, list(cert.f))
@@ -437,7 +426,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    scan_bound = _resolve_scan_bound(args.scan_bound)
     cert, _ = read_certificate(args.cert)
     f = read_poly_file(args.poly)
     f0 = list(cert.f0)
@@ -448,7 +436,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("verification failed: polynomial leaves the certified congruence class")
         return EXIT_FAIL
     try:
-        report = check_hypotheses(f, cert.plan, scan_bound=scan_bound)
+        report = check_hypotheses(f, cert.plan)
     except ValueError as err:
         print(f"verification failed: {err}")
         return EXIT_FAIL
@@ -525,7 +513,12 @@ def cmd_inertia(args: argparse.Namespace) -> int:
         label = ",".join(str(q) for q in qs)
         print(f"type {t}-{{{label}}} recognized at {p}")
         print(f"block shifts: {', '.join(str(s) for s in witness.shifts)}")
-        if all(q != 2 for q in qs):
+        if p in qs:
+            print(
+                "cluster picture, etale H^1 and tame eigenvalues not derived: "
+                f"block size {p} equals p, so inertia is wild"
+            )
+        elif all(q != 2 for q in qs):
             try:
                 picture = clusters_from_type(t, list(qs), deg)
             except ValueError as err:
@@ -582,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixture", action="store_true", help="use the reference witness choices"
     )
     p_con.add_argument("--seed", type=int, default=0, help="witness search seed")
-    p_con.add_argument("--scan-bound", type=int, default=DEFAULT_SCAN_BOUND)
     p_con.add_argument("--out", required=True, help="certificate JSON path")
     p_con.add_argument(
         "--poly-out", default=None, help="also write the final polynomial here"
@@ -592,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check a polynomial against a certificate")
     p_ver.add_argument("--poly", required=True, help="polynomial JSON path")
     p_ver.add_argument("--cert", required=True, help="certificate JSON path")
-    p_ver.add_argument("--scan-bound", type=int, default=DEFAULT_SCAN_BOUND)
     p_ver.set_defaults(func=cmd_verify)
 
     p_in = sub.add_parser("inertia", help="local reduction data at one odd prime")

@@ -38,7 +38,8 @@ FIXTURE_SEED = -1
 
 PLAN_SCAN_BOUND = 10**6
 
-DEFAULT_SCAN_BOUND = 10**5
+# screen_triple_roots trial-divides its gcd by the primes up to this bound
+SCAN_BOUND = 10**5
 
 # The eight PrimePlan fields that hold its auxiliary primes, in field order.
 PLAN_FIELDS = ("p_t", "p_t_prime", "p_2", "p_2_prime", "p_3", "p_3_prime", "p_irr", "p_lin")
@@ -231,8 +232,9 @@ class TripleRootScreen:
 
     Every such prime divides G = gcd(|Res(f', f'')|, |Res(f, f'')|), whose
     prime divisors up to scan_bound (and a prime cofactor above it) are the
-    found_primes. A residual_cofactor above 1 is the composite part of G
-    left unfactored above the scan bound; 0 marks the unavailable screen
+    found_primes; scan_bound records the SCAN_BOUND the screen was taken to.
+    A residual_cofactor above 1 is the composite part of G left unfactored
+    above the scan bound; 0 marks the unavailable screen
     TripleRootScreen((), 0, scan_bound), taken when f' and f'' share a root.
     Only a complete screen, with residual_cofactor 1, rules out every other
     prime.
@@ -247,7 +249,7 @@ class TripleRootScreen:
         return self.residual_cofactor == 1
 
 
-def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> TripleRootScreen:
+def screen_triple_roots(f: list[int]) -> TripleRootScreen:
     """Locate every prime at which the monic f could have a root of multiplicity >= 3.
 
     Such a root of f mod p is a common root of f, f' and f'' mod p. The
@@ -257,13 +259,13 @@ def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> T
     Res(f, f''), and hence G = gcd(|Res(f', f'')|, |Res(f, f'')|). When
     Res(f, f'') = 0, G is |Res(f', f'')|, which p still divides.
 
-    G is trial-divided by the primes up to scan_bound, drawn in increasing
-    order, and the division stops at the first of: the cofactor reaches 1,
-    the primes pass scan_bound, or the next prime p has p^2 > cofactor (all
-    prime factors of the cofactor are then >= p, so it is prime). A cofactor
-    left above 1 is a found prime when it is prime, and otherwise the
-    residual cofactor of an incomplete screen. The result is the same as
-    dividing by every prime up to scan_bound.
+    G is trial-divided by the primes up to SCAN_BOUND, read at call time and
+    drawn in increasing order, and the division stops at the first of: the
+    cofactor reaches 1, the primes pass SCAN_BOUND, or the next prime p has
+    p^2 > cofactor (all prime factors of the cofactor are then >= p, so it
+    is prime). A cofactor left above 1 is a found prime when it is prime,
+    and otherwise the residual cofactor of an incomplete screen. The result
+    is the same as dividing by every prime up to SCAN_BOUND.
 
     When Res(f', f'') = 0, f' and f'' share a root over the rationals, every
     prime divides it, and the unavailable screen (no primes, residual
@@ -273,10 +275,10 @@ def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> T
     d2 = poly_derivative(d1)
     res = resultant(d1, d2)
     if res == 0:
-        return TripleRootScreen(found_primes=(), residual_cofactor=0, scan_bound=scan_bound)
+        return TripleRootScreen(found_primes=(), residual_cofactor=0, scan_bound=SCAN_BOUND)
     cofactor = math.gcd(res, resultant(f, d2))
     found = []
-    for p in iter_primes(scan_bound):
+    for p in iter_primes(SCAN_BOUND):
         if p * p > cofactor:
             break
         if cofactor % p == 0:
@@ -289,7 +291,7 @@ def screen_triple_roots(f: list[int], scan_bound: int = DEFAULT_SCAN_BOUND) -> T
         found.append(cofactor)
         cofactor = 1
     return TripleRootScreen(
-        found_primes=tuple(found), residual_cofactor=cofactor, scan_bound=scan_bound
+        found_primes=tuple(found), residual_cofactor=cofactor, scan_bound=SCAN_BOUND
     )
 
 
@@ -370,11 +372,7 @@ def repaired_poly(
 
 
 def fix_multiplicities(
-    f0: list[int],
-    n: int,
-    g: int,
-    exceptions: tuple[int, ...] = (),
-    scan_bound: int = DEFAULT_SCAN_BOUND,
+    f0: list[int], n: int, g: int, exceptions: tuple[int, ...] = ()
 ) -> RepairRecord:
     """Adjust f0 within its congruence class mod n to remove stray triple roots.
 
@@ -408,7 +406,7 @@ def fix_multiplicities(
     f, n_tilde = repaired_poly(f0, n, g, pre_fixes, 0, 0)
     skip = set(exceptions) | {2}
     nudges = 0
-    while not (screen := screen_triple_roots(f, scan_bound)).residual_cofactor:
+    while not (screen := screen_triple_roots(f)).residual_cofactor:
         nudges += 1
         f, _ = repaired_poly(f0, n, g, pre_fixes, nudges, 0)
     for p in screen.found_primes:
@@ -436,7 +434,7 @@ def fix_multiplicities(
             [((c * pow(n_tilde, -1, p)) % p, p) for p, c in constrained.items()]
         )
         shifted, _ = repaired_poly(f0, n, g, pre_fixes, nudges, z)
-        screen = screen_triple_roots(shifted, scan_bound)
+        screen = screen_triple_roots(shifted)
     return RepairRecord(
         f=tuple(shifted),
         n_tilde=n_tilde,
@@ -466,7 +464,7 @@ class Certificate:
         return self.repair.f
 
 
-def build_certificate(g: int, seed: int = 0, scan_bound: int = DEFAULT_SCAN_BOUND) -> Certificate:
+def build_certificate(g: int, seed: int = 0) -> Certificate:
     """Construct a certified polynomial for one genus, end to end.
 
     Picks the first prime tuple for the genus, plans the auxiliary primes,
@@ -492,11 +490,5 @@ def build_certificate(g: int, seed: int = 0, scan_bound: int = DEFAULT_SCAN_BOUN
         plan = plan_primes(g, tup)
         witnesses = [witness_poly(spec, g, seed=seed) for spec in plan.specs]
     f0, modulus = assemble(list(zip(plan.specs, witnesses)), g)
-    repair = fix_multiplicities(
-        f0,
-        modulus,
-        g,
-        exceptions=plan.exceptions,
-        scan_bound=scan_bound,
-    )
+    repair = fix_multiplicities(f0, modulus, g, exceptions=plan.exceptions)
     return Certificate(plan=plan, f0=tuple(f0), repair=repair)

@@ -19,7 +19,6 @@ from .arith import (
     resultant,
 )
 from .construct import (
-    DEFAULT_SCAN_BOUND,
     ONE_MOD_3,
     PrimePlan,
     TripleRootScreen,
@@ -137,7 +136,6 @@ def _type_text(spec: LocalSpec, typed: bool) -> str:
 def check_hypotheses(
     f: list[int],
     plan: PrimePlan,
-    scan_bound: int = DEFAULT_SCAN_BOUND,
     screen: TripleRootScreen | None = None,
 ) -> VerificationReport:
     """Evaluate every hypothesis flag for f against its prime plan.
@@ -152,10 +150,9 @@ def check_hypotheses(
     above g, sizes, primitive roots, residues mod 3) are validated when the
     PrimePlan is created and only described here.
 
-    screen, when given, must be screen_triple_roots(f, scan_bound), and is
-    used instead of computing that screen again; a screen to another bound
-    raises ValueError. construct passes the screen its repair ended with;
-    verify passes none, so the screen is computed here. When f' and f''
+    screen, when given, must be screen_triple_roots(f), and is used instead
+    of computing that screen again. construct passes the screen its repair
+    ended with; verify passes none, so the screen is computed here. When f' and f''
     share a root no screen can be taken: the report holds one with no
     primes and residual cofactor 0, and "ss" fails.
 
@@ -169,8 +166,6 @@ def check_hypotheses(
     f = list(f)
     if poly_deg(poly_trim(f)) != deg or f[-1] != 1:
         raise ValueError("f must be monic of degree 2g + 2")
-    if screen is not None and screen.scan_bound != scan_bound:
-        raise ValueError("the given screen was taken to a different scan bound")
     irreducible = fp_is_irreducible(poly_reduce(f, plan.p_irr), plan.p_irr)
     if not irreducible and resultant(f, poly_derivative(f)) == 0:
         raise ValueError("f must be squarefree")
@@ -242,7 +237,7 @@ def check_hypotheses(
     exceptions = set(plan.exceptions)
     good_2 = good_reduction_at_2(f, g)
     if screen is None:
-        screen = screen_triple_roots(f, scan_bound)
+        screen = screen_triple_roots(f)
     bad_primes = tuple(
         (p, mult)
         for p in screen.found_primes
@@ -257,7 +252,7 @@ def check_hypotheses(
         status = "conditional"
     detail = (
         f"2-adic good-reduction family: {'yes' if good_2 else 'no'}; "
-        f"stray triple-root primes to {scan_bound}: "
+        f"stray triple-root primes to {screen.scan_bound}: "
         f"{sorted(stray) if stray else 'none'}"
     )
     if not screen.residual_cofactor:

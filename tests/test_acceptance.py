@@ -14,6 +14,7 @@ from gspmax.arith import (
     poly_reduce,
     primes_up_to,
 )
+from gspmax import construct
 from gspmax.cli import main
 from gspmax.construct import (
     PrimePlan,
@@ -105,9 +106,10 @@ class TestGoldenTypeRecognition:
 
 
 class TestTripleRootExclusion:
-    def test_no_stray_triple_roots_below_one_million(self, screen_gcd):
+    def test_no_stray_triple_roots_below_one_million(self, screen_gcd, monkeypatch):
         start = time.perf_counter()
-        screen = screen_triple_roots(F0, 10**6)
+        monkeypatch.setattr(construct, "SCAN_BOUND", 10**6)
+        screen = screen_triple_roots(F0)
         assert screen.found_primes == tuple(PLANNED_MULTIPLICITIES)
         assert screen.residual_cofactor == 1
         assert screen.complete
@@ -118,7 +120,7 @@ class TestTripleRootExclusion:
             assert screen_gcd(F0) % p != 0
             assert max(multiplicity_profile(F0, p)) <= 2, p
         plan = PrimePlan(g=6, prime_tuple=_genus_six_tuple(), **PLAN_G6)
-        report = check_hypotheses(F0, plan, scan_bound=10**6)
+        report = check_hypotheses(F0, plan)
         assert report.flag("ss").status == "pass"
         assert not report.verdict.conditional
         assert report.verdict.kind == "maximal-all-ell"

@@ -17,12 +17,12 @@ from gspmax import construct, goldbach, localtypes
 from gspmax.arith import poly_mul
 from gspmax.cli import (
     MAX_GENUS,
-    MAX_SCAN_BOUND,
+    MAX_GOLDBACH_BOUND,
     certificate_from_json,
     certificate_to_json,
     main,
 )
-from gspmax.construct import DEFAULT_SCAN_BOUND, TripleRootScreen
+from gspmax.construct import TripleRootScreen
 from gspmax.localtypes import LocalSpec
 from gspmax.verify import FLAG_NAMES, check_hypotheses
 
@@ -132,10 +132,10 @@ class TestGoldbachCommand:
             raise AssertionError(f"sieve to {bound} was started")
 
         monkeypatch.setattr(goldbach, "primes_up_to", no_sieve)
-        for value in (MAX_SCAN_BOUND + 1, 10**40):
+        for value in (MAX_GOLDBACH_BOUND + 1, 10**40):
             assert main(["goldbach", "--max", str(value)]) == 2
             err = capsys.readouterr().err
-            assert err == f"gspmax: --max must be at most {MAX_SCAN_BOUND}, got {value}\n"
+            assert err == f"gspmax: --max must be at most {MAX_GOLDBACH_BOUND}, got {value}\n"
 
     def test_genus_above_cap_is_usage_error_before_any_search(self, capsys, monkeypatch):
         def no_search(g):
@@ -204,31 +204,35 @@ class TestConstructCommand:
         [
             (
                 ["--genus", "6", "--fixture"],
-                [],
+                {},
                 0,
                 "98fd442be24371b447792a730fed232e5eb25bfffed551bcbd13fc79fbbe7a0a",
             ),
             (
                 ["--genus", "6", "--fixture"],
-                ["--scan-bound", "10"],
+                {"SCAN_BOUND": 10},
                 3,
                 "43213131e1e180757584f34091935db076cf300330966a85b8737a5b01a21ed6",
             ),
             (
                 ["--genus", "6", "--seed", "0"],
-                [],
+                {},
                 0,
                 "c30bbf8dd38d6c926db8c41ba99b31fca6a8f65164c803d66f2eda053db36142",
             ),
         ],
     )
-    def test_verify_output_digest_is_pinned(self, tmp_path, capsys, options, scan, code, digest):
-        # construct and verify run at the same scan bound
+    def test_verify_output_digest_is_pinned(
+        self, tmp_path, capsys, monkeypatch, options, scan, code, digest
+    ):
+        # construct and verify run at the same scan bound, patched in by scan
+        for name, value in scan.items():
+            monkeypatch.setattr(construct, name, value)
         cert, poly = tmp_path / "cert.json", tmp_path / "f.json"
         files = ["--out", str(cert), "--poly-out", str(poly)]
-        assert main(["construct", *options, *scan, *files]) == code
+        assert main(["construct", *options, *files]) == code
         capsys.readouterr()
-        assert main(["verify", "--poly", str(poly), "--cert", str(cert), *scan]) == code
+        assert main(["verify", "--poly", str(poly), "--cert", str(cert)]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
@@ -349,13 +353,11 @@ class TestVerifyCommand:
         assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 0
         assert sorted(built) == [2, 3, 5, 7, 11, 17, 19, 23, 29, 37, 41]
 
-    def test_fixture_verifies_conditionally(self, fixture_files, capsys):
+    def test_fixture_verifies_conditionally(self, fixture_files, capsys, monkeypatch):
         # below 17 the screen leaves G's composite part 17^a 19^b 37^c 41^d
+        monkeypatch.setattr(construct, "SCAN_BOUND", 10)
         cert_path, poly_path = fixture_files
-        code = main(
-            ["verify", "--poly", str(poly_path), "--cert", str(cert_path),
-             "--scan-bound", "10"]
-        )
+        code = main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)])
         out = capsys.readouterr().out
         assert code == 3
         assert "congruent to the certified class mod N: yes" in out
@@ -421,41 +423,52 @@ class TestVerifyCommand:
     def test_malformed_polynomial_is_usage_error(self, fixture_files, tmp_path, capsys):
         cert_path, _ = fixture_files
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"degree": 14, "coeffs": ["1", "2"]}))
-        code = main(["verify", "--poly", str(bad), "--cert", str(cert_path)])
-        assert code == 2
-        assert "malformed polynomial file" in capsys.readouterr().err
+        # too few coefficients, and a degree in Arabic-Indic digits, which
+        # str.isdigit and int accept
+        for data, message in (
+            ({"degree": 14, "coeffs": ["1", "2"]}, "2 coefficients for degree 14"),
+            ({"degree": "\u0664", "coeffs": ["1"] * 5}, 'not a decimal integer: "\\u0664"'),
+        ):
+            bad.write_text(json.dumps(data))
+            code = main(["verify", "--poly", str(bad), "--cert", str(cert_path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"gspmax: malformed polynomial file {bad}: {message}\n"
 
-    def test_scan_bound_default_and_flag(self, fixture_files, capsys):
+    def test_scan_bound_default_and_flag(self, fixture_files, tmp_path, capsys):
         cert_path, poly_path = fixture_files
         assert main(["verify", "--poly", str(poly_path), "--cert", str(cert_path)]) == 0
-        assert f"to {DEFAULT_SCAN_BOUND}:" in capsys.readouterr().out
-        code = main(
-            ["verify", "--poly", str(poly_path), "--cert", str(cert_path),
-             "--scan-bound", "1200"]
-        )
-        assert code == 0
-        assert "to 1200" in capsys.readouterr().out
-
-    def test_scan_bound_above_cap_is_usage_error_before_any_sieve(
-        self, fixture_files, tmp_path, capsys, monkeypatch
-    ):
-        def no_sieve(bound):
-            raise AssertionError(f"sieve to {bound} was started")
-
-        monkeypatch.setattr(construct, "primes_up_to", no_sieve)
-        monkeypatch.setattr(construct, "iter_primes", no_sieve)
-        cert_path, poly_path = fixture_files
-        huge = str(10**40)
-        verify = ["verify", "--poly", str(poly_path), "--cert", str(cert_path)]
-        assert main(verify + ["--scan-bound", huge]) == 2
-        err = capsys.readouterr().err
-        assert err == f"gspmax: scan bound must be between 2 and {MAX_SCAN_BOUND}, got {huge}\n"
+        assert f"to {construct.SCAN_BOUND}:" in capsys.readouterr().out
+        # the bound is a constant: neither command takes a --scan-bound flag
         out = tmp_path / "cert.json"
-        too_big = ["--scan-bound", str(MAX_SCAN_BOUND + 1)]
-        assert main(["construct", "--genus", "6", "--out", str(out)] + too_big) == 2
-        assert "scan bound must be between" in capsys.readouterr().err
+        for argv in (
+            ["verify", "--poly", str(poly_path), "--cert", str(cert_path)],
+            ["construct", "--genus", "6", "--out", str(out)],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--scan-bound", "10"])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --scan-bound 10" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_triple_roots_past_the_scan_bound_verify_conditionally(
+        self, seed0_files, tmp_path, capsys
+    ):
+        # f + N*h with h of degree 2 chosen by CRT so that x^3 divides it mod
+        # 100003 and mod 100019, both past SCAN_BOUND: the screen leaves their
+        # product as a composite cofactor
+        cert_path, _ = seed0_files[6]
+        data = json.loads(cert_path.read_text())
+        f = [int(c) for c in data["repair"]["f"]]
+        n, m = int(data["N"]), 100003 * 100019
+        member = tmp_path / "member.json"
+        _write_poly(member, [c - n * (c * pow(n, -1, m) % m) for c in f[:3]] + f[3:])
+        code = main(["verify", "--poly", str(member), "--cert", str(cert_path)])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert _flag_statuses(out)["ss"] == "conditional"
+        assert "stray triple-root primes to 100000: none" in out
+        assert "composite cofactor of 34 bits remains above the scan bound" in out
 
     @pytest.mark.parametrize("top", ["[1, 2]", '"cert"', "7", "null"])
     def test_non_object_files_are_usage_errors(
@@ -535,6 +548,22 @@ class TestInertiaCommand:
         assert "type 2-{11} recognized at 17" in out
         assert "eigenvalue 1 with multiplicity 2" in out
 
+    def test_block_size_equal_to_the_prime_derives_no_tame_data(self, tmp_path, capsys):
+        # (x^3 - 3)(x^3 + x + 1) has type 1-{3} at 3, where inertia is wild:
+        # the block cluster sits at depth 1/3 + v_3(1 - zeta_3) = 5/6, not 1/3
+        poly = tmp_path / "wild.json"
+        _write_poly(poly, poly_mul([-3, 0, 0, 1], [1, 1, 0, 1]))
+        assert main(["inertia", "--poly", str(poly), "--prime", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "type 1-{3} recognized at 3" in out
+        assert "block shifts: 0" in out
+        assert (
+            "cluster picture, etale H^1 and tame eigenvalues not derived: "
+            "block size 3 equals p, so inertia is wild"
+        ) in out
+        for line in ("cluster picture:", "etale H^1:", "tame eigenvalues:", "tame inertia"):
+            assert line not in out
+
     def test_good_reduction_prime(self, fixture_files, capsys):
         _, poly_path = fixture_files
         assert main(["inertia", "--poly", str(poly_path), "--prime", "101"]) == 0
@@ -569,16 +598,17 @@ class TestInertiaCommand:
 
 class TestCertificateRoundTrip:
     @pytest.mark.parametrize(
-        "options, code, status",
+        "options, bound, code, status",
         [
-            (["--genus", "6", "--fixture"], 0, "clean"),
-            (["--genus", "6", "--fixture", "--scan-bound", "10"], 3, "conditional"),
-            (["--genus", "8", "--seed", "0"], 0, "clean"),
-            (["--genus", "10", "--seed", "0"], 0, "clean"),
+            (["--genus", "6", "--fixture"], construct.SCAN_BOUND, 0, "clean"),
+            (["--genus", "6", "--fixture"], 10, 3, "conditional"),
+            (["--genus", "8", "--seed", "0"], construct.SCAN_BOUND, 0, "clean"),
+            (["--genus", "10", "--seed", "0"], construct.SCAN_BOUND, 0, "clean"),
         ],
         ids=["fixture", "fixture-scan-10", "seed0-g8", "seed0-g10"],
     )
-    def test_lossless(self, tmp_path, options, code, status):
+    def test_lossless(self, tmp_path, monkeypatch, options, bound, code, status):
+        monkeypatch.setattr(construct, "SCAN_BOUND", bound)
         cert_path = tmp_path / "cert.json"
         assert main(["construct", *options, "--out", str(cert_path)]) == code
         data = json.loads(cert_path.read_text())
@@ -662,12 +692,13 @@ class TestCertificateRoundTrip:
         assert captured.out == ""
         assert captured.err == f"gspmax: malformed certificate file {bad}: {message}\n"
 
-    def test_unavailable_screen_survives_the_report_round_trip(self, fixture_files):
+    def test_unavailable_screen_survives_the_report_round_trip(self, fixture_files, monkeypatch):
         # f = x^14 + 3: f' and f'' share the root 0, so no screen can be taken;
         # the repaired f itself is derived from f0, so only the screen is swapped
         cert, _ = certificate_from_json(json.loads(fixture_files[0].read_text()))
         f = (3,) + (0,) * 13 + (1,)
-        report = check_hypotheses(list(f), cert.plan, scan_bound=10**3)
+        monkeypatch.setattr(construct, "SCAN_BOUND", 10**3)
+        report = check_hypotheses(list(f), cert.plan)
         assert report.screen == TripleRootScreen((), 0, 10**3)
         cert = replace(cert, repair=replace(cert.repair, screen=report.screen))
         data = certificate_to_json(cert, report)

@@ -15,9 +15,7 @@ from gspmax.arith import (
     primes_up_to,
     resultant,
 )
-from gspmax.cli import MAX_SCAN_BOUND
 from gspmax.construct import (
-    DEFAULT_SCAN_BOUND,
     FIXTURE_SEED,
     PLAN_FIELDS,
     ExceptionalGenusError,
@@ -225,8 +223,8 @@ class TestAssemble:
 
 
 class TestScreenTripleRoots:
-    def test_golden_screen_small_bound(self, screen_gcd):
-        screen = screen_triple_roots(F0, scan_bound=10**4)
+    def test_golden_screen_small_bound(self, screen_gcd, monkeypatch):
+        screen = screen_triple_roots(F0)
         assert screen.found_primes == (2, 17, 19, 37, 41)
         assert screen.residual_cofactor == 1
         assert screen.complete
@@ -236,14 +234,15 @@ class TestScreenTripleRoots:
         d1 = poly_derivative(F0)
         assert resultant(d1, poly_derivative(d1)) % (7 * 5087) == 0
         assert screen_gcd(F0) % 7 and screen_gcd(F0) % 5087
-        short = screen_triple_roots(F0, scan_bound=10)
+        monkeypatch.setattr(construct, "SCAN_BOUND", 10)
+        short = screen_triple_roots(F0)
         assert short.found_primes == (2,)
         assert short.residual_cofactor == planted
         assert not short.complete
 
     def test_screen_rejects_degenerate_derivatives(self):
         # x^14: f' and f'' share the root 0, so the screen is unavailable
-        assert screen_triple_roots([0] * 14 + [1]) == TripleRootScreen((), 0, DEFAULT_SCAN_BOUND)
+        assert screen_triple_roots([0] * 14 + [1]) == TripleRootScreen((), 0, construct.SCAN_BOUND)
 
 
 def _screen_by_every_prime(common: int, bound: int) -> tuple[tuple[int, ...], int]:
@@ -287,9 +286,10 @@ SCREEN_INPUTS = {
 class TestLazyTrialDivision:
     @pytest.mark.parametrize("bound", [2, 10, 40, 41, 10**4])
     @pytest.mark.parametrize("name", list(SCREEN_INPUTS))
-    def test_matches_division_by_every_prime(self, name, bound, screen_gcd):
+    def test_matches_division_by_every_prime(self, name, bound, screen_gcd, monkeypatch):
         f = SCREEN_INPUTS[name]()
-        screen = screen_triple_roots(f, scan_bound=bound)
+        monkeypatch.setattr(construct, "SCAN_BOUND", bound)
+        screen = screen_triple_roots(f)
         expected = _screen_by_every_prime(screen_gcd(f), bound)
         assert (screen.found_primes, screen.residual_cofactor) == expected
 
@@ -306,7 +306,7 @@ class TestLazyTrialDivision:
         return primes
 
     def test_stops_when_the_cofactor_reaches_one(self, drawn):
-        screen = screen_triple_roots(F0, scan_bound=MAX_SCAN_BOUND)
+        screen = screen_triple_roots(F0)
         assert screen.found_primes == (2, 17, 19, 37, 41) and screen.complete
         assert max(drawn) == 41
 
@@ -320,7 +320,7 @@ class TestLazyTrialDivision:
     def test_stops_when_the_cofactor_is_prime(
         self, drawn, screen_gcd, f, candidate_gcd, found, last_drawn
     ):
-        screen = screen_triple_roots(f, scan_bound=MAX_SCAN_BOUND)
+        screen = screen_triple_roots(f)
         assert screen_gcd(f) == candidate_gcd
         assert screen.found_primes == found and screen.complete
         assert max(drawn) == last_drawn
@@ -328,9 +328,7 @@ class TestLazyTrialDivision:
 
 class TestFixMultiplicities:
     def test_golden_passes_through_unchanged(self):
-        rec = fix_multiplicities(
-            F0, N, 6, exceptions=(17, 19, 37, 41), scan_bound=10**4
-        )
+        rec = fix_multiplicities(F0, N, 6, exceptions=(17, 19, 37, 41))
         assert list(rec.f) == F0
         assert rec.z == 0
         assert rec.linear_nudges == 0
@@ -349,15 +347,13 @@ class TestFixMultiplicities:
         f_test = [
             crt_integers([(F0[i], N), (planted[i], p)]) for i in range(14)
         ] + [1]
-        rec = fix_multiplicities(
-            f_test, N, 6, exceptions=(17, 19, 37, 41), scan_bound=10**4
-        )
+        rec = fix_multiplicities(f_test, N, 6, exceptions=(17, 19, 37, 41))
         assert rec.repaired_primes == (p,)
         assert rec.z > 0
         assert max(multiplicity_profile(list(rec.f), p)) <= 2
         assert all((a - b) % N == 0 for a, b in zip(rec.f, f_test))
         # the record keeps the screen of the shifted f, not of f_test
-        assert rec.screen == screen_triple_roots(list(rec.f), 10**4)
+        assert rec.screen == screen_triple_roots(list(rec.f))
         assert rec.status == "clean"
 
     def test_small_prime_pre_stage(self):
@@ -368,7 +364,7 @@ class TestFixMultiplicities:
             planted = poly_mul(planted, [(-r) % 7, 1], 7)
         f_test = [crt_integers([(clean[i], n), (planted[i], 7)]) for i in range(14)]
         f_test.append(1)
-        rec = fix_multiplicities(f_test, n, 6, scan_bound=10**3)
+        rec = fix_multiplicities(f_test, n, 6)
         assert len(rec.pre_stage) == 1 and rec.pre_stage[0][0] == 7
         assert max(multiplicity_profile(list(rec.f), 7)) <= 2
         assert all((a - b) % n == 0 for a, b in zip(rec.f, f_test))
@@ -378,9 +374,7 @@ class TestFixMultiplicities:
         # power, so 7 must sit inside n and the exception list
         n = (2**14) * 49
         f_test = [4096] + [0] * 13 + [1]
-        rec = fix_multiplicities(
-            f_test, n, 6, exceptions=(7,), scan_bound=10**3
-        )
+        rec = fix_multiplicities(f_test, n, 6, exceptions=(7,))
         assert rec.linear_nudges == 1
         assert rec.n_tilde == n * 3 * 5 * 11
         assert rec.f[1] == rec.n_tilde
@@ -397,7 +391,7 @@ class TestFixMultiplicities:
         f_test = poly_mul(cube, [3] + [0] * 10 + [1])
         assert len(f_test) == 15
         with pytest.raises(ValueError, match="dividing n"):
-            fix_multiplicities(f_test, n, 6, scan_bound=10**3)
+            fix_multiplicities(f_test, n, 6)
 
     def test_double_root_mod_2_needs_no_pre_stage(self):
         # n is odd, so 2 is a small prime outside n; (x + 1)^2 (x^12 + x + 1)
@@ -405,7 +399,7 @@ class TestFixMultiplicities:
         n = 9 * 25 * 121
         f_test = poly_mul([1, 2, 1], [1, 1] + [0] * 10 + [1])
         assert max(multiplicity_profile(f_test, 2)) == 2
-        rec = fix_multiplicities(f_test, n, 6, scan_bound=10**3)
+        rec = fix_multiplicities(f_test, n, 6)
         assert rec.pre_stage == ()
         assert list(rec.f) == f_test
 

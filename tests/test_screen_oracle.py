@@ -7,8 +7,9 @@ import pytest
 
 from golden_data import F0
 from gspmax.arith import poly_derivative, poly_mul, primes_up_to, resultant
-from gspmax.construct import build_certificate, screen_triple_roots
+from gspmax.construct import SCAN_BOUND, build_certificate, screen_triple_roots
 from gspmax.localtypes import multiplicity_profile
+from gspmax.verify import check_hypotheses
 
 sympy = pytest.importorskip("sympy")
 
@@ -83,3 +84,22 @@ def test_resultant_primes_outside_the_gcd_carry_no_triple_root():
     for p in (5087, 16741, 887749, 1461781):
         assert res % p == 0 and p not in found
         assert not _has_triple_root(F0, p), p
+
+
+def test_triple_roots_past_the_bound_leave_the_screen_conditional():
+    # f + N*h with h of degree 2 chosen by CRT so that x^3 divides it mod both
+    # primes past SCAN_BOUND; trial division cannot reach them, so the screen
+    # keeps their product as a composite cofactor and ss is only conditional
+    cert = build_certificate(6, seed=0)
+    n, past = cert.plan.modulus, (100003, 100019)
+    m = past[0] * past[1]
+    f = [c - n * (c * pow(n, -1, m) % m) for c in cert.f[:3]] + list(cert.f[3:])
+    assert SCAN_BOUND < min(past)
+    for p in past:
+        assert _has_triple_root(f, p), p
+    screen = screen_triple_roots(f)
+    assert screen.found_primes == (2, 17, 19, 37, 41)
+    assert screen.residual_cofactor == m
+    report = check_hypotheses(f, cert.plan)
+    assert report.flag("ss").status == "conditional"
+    assert report.verdict.conditional

@@ -183,7 +183,7 @@ def _assert_certificate_matches_the_oracle(g: int, seed: int, names: tuple[str, 
     f = list(cert.f)
     screen = cert.repair.screen
     reported = _statuses(
-        check_hypotheses(f, cert.plan, scan_bound=screen.scan_bound, screen=screen)
+        check_hypotheses(f, cert.plan, screen=screen)
     )
     oracle = oracle_flags(f, cert.plan)
     assert {name: reported[name] for name in names} == {name: oracle[name] for name in names}
@@ -220,7 +220,7 @@ def test_ss_and_verdict_match_the_oracle(g, seed):
     cert = _certificate(g, seed)
     f = list(cert.f)
     screen = cert.repair.screen
-    report = check_hypotheses(f, cert.plan, scan_bound=screen.scan_bound, screen=screen)
+    report = check_hypotheses(f, cert.plan, screen=screen)
     _assert_ss_and_verdict_match_the_oracle(f, report, oracle_flags(f, cert.plan))
     assert report.flag("ss").status == "pass"
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from golden_data import F0, PLAN_G6, TUPLE_G6
-from gspmax import arith
+from gspmax import arith, construct
 from gspmax.arith import poly_mul
 from gspmax.construct import FIXTURE_SEED, PrimePlan, assemble, build_certificate, plan_primes
 from gspmax.goldbach import GoldbachTuple, two_g_eps_tuples
@@ -31,15 +31,22 @@ def _fixture_plan() -> PrimePlan:
     return PrimePlan(g=6, prime_tuple=_tuple_g6(), **PLAN_G6)
 
 
+def _report_at_bound(f: list[int], plan: PrimePlan, bound: int) -> VerificationReport:
+    """check_hypotheses(f, plan) with the triple-root screen taken to this bound."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "SCAN_BOUND", bound)
+        return check_hypotheses(f, plan)
+
+
 @functools.cache
 def _golden_report() -> VerificationReport:
-    return check_hypotheses(list(F0), _fixture_plan(), scan_bound=10**4)
+    return _report_at_bound(list(F0), _fixture_plan(), 10**4)
 
 
 @functools.cache
 def _short_scan_report() -> VerificationReport:
     """The golden report with a scan bound too small to factor G completely."""
-    return check_hypotheses(list(F0), _fixture_plan(), scan_bound=10)
+    return _report_at_bound(list(F0), _fixture_plan(), 10)
 
 
 def _refit(report: VerificationReport, overrides: dict[str, str], **fields):
@@ -111,9 +118,7 @@ class TestGoldenReport:
 
     def test_matches_certificate_output(self):
         cert = build_certificate(6, seed=FIXTURE_SEED)
-        report = check_hypotheses(
-            list(cert.f), cert.plan, scan_bound=10**4
-        )
+        report = _report_at_bound(list(cert.f), cert.plan, 10**4)
         assert report == dataclasses.replace(_golden_report(), plan=cert.plan)
 
 
@@ -137,7 +142,7 @@ class TestPreconditions:
 
     def test_shared_derivative_root_disables_scan(self):
         f = [3] + [0] * 13 + [1]
-        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3)
+        report = check_hypotheses(f, _fixture_plan())
         ss = report.flag("ss")
         assert ss.status == "fail"
         assert "derivatives share a root" in ss.detail
@@ -150,7 +155,7 @@ class TestPerturbedInputs:
     def test_unit_shift_of_linear_coefficient_fails(self):
         f = list(F0)
         f[1] += 1
-        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3)
+        report = check_hypotheses(f, _fixture_plan())
         fails = {fl.name for fl in report.flags if fl.status == "fail"}
         assert {"2T", "TT", "ss"} <= fails
         assert "2G+eps" not in fails
@@ -159,7 +164,7 @@ class TestPerturbedInputs:
 
     def test_flat_polynomial_fails_many_flags(self):
         f = [-1] + [0] * 13 + [1]
-        report = check_hypotheses(f, _fixture_plan(), scan_bound=10**3)
+        report = check_hypotheses(f, _fixture_plan())
         fails = {fl.name for fl in report.flags if fl.status == "fail"}
         assert {"2T", "TT", "p2", "p3", "p2'", "p3'", "ss"} <= fails
         assert report.verdict.kind == "none"
@@ -254,7 +259,7 @@ class TestPartialRoute:
 
     def test_unwitnessed_primed_blocks_fall_back_to_partial_verdict(self):
         f, plan = self._semistable_outside_core()
-        report = check_hypotheses(f, plan, scan_bound=10**4)
+        report = check_hypotheses(f, plan)
         statuses = {fl.name: fl.status for fl in report.flags}
         assert statuses["p2'"] == "fail"
         assert statuses["p3'"] == "fail"
@@ -290,7 +295,7 @@ class TestExceptionalTable:
 class TestScanBounds:
     def test_widening_the_bound_keeps_verdict_and_grows_found_set(self):
         low = _short_scan_report()
-        mid = check_hypotheses(list(F0), _fixture_plan(), scan_bound=10**3)
+        mid = _report_at_bound(list(F0), _fixture_plan(), 10**3)
         high = _golden_report()
         assert set(low.screen.found_primes) < set(mid.screen.found_primes)
         # G's largest prime is 41, so every bound past it finds the same set
@@ -324,13 +329,6 @@ class TestSharedScreen:
         assert shared == check_hypotheses(list(cert.f), cert.plan)
         assert resultant_calls == [(2 * g + 2, 2 * g + 1), (2 * g + 3, 2 * g + 1)]
 
-    def test_screen_to_another_bound_is_refused(self):
-        cert = build_certificate(6, seed=FIXTURE_SEED)
-        with pytest.raises(ValueError, match="different scan bound"):
-            check_hypotheses(
-                list(cert.f), cert.plan, scan_bound=10**3, screen=cert.repair.screen
-            )
-
 
 class TestComputeOnce:
     def test_one_discriminant_and_two_screen_resultants_per_check(self, resultant_calls):
@@ -339,7 +337,7 @@ class TestComputeOnce:
         rng = random.Random(10)
         f = [rng.randint(-9, 9) for _ in range(2 * g + 2)] + [1]
         assert arith.fp_is_irreducible(arith.poly_reduce(f, plan.p_irr), plan.p_irr)
-        report = check_hypotheses(f, plan, scan_bound=10**3)
+        report = check_hypotheses(f, plan)
         assert report.flag("TT").status == "fail"  # evaluated at 3, 5 and 7
         # irreducible mod p_irr, hence squarefree, so no Res(f, f'): only the
         # screen's Res(f', f'') and Res(f, f'')
@@ -357,7 +355,7 @@ class TestComputeOnce:
         # (x - 1)(x^21 + 1) has a rational root and is squarefree
         f = poly_mul([-1, 1], [1] + [0] * 20 + [1])
         assert not arith.fp_is_irreducible(arith.poly_reduce(f, plan.p_irr), plan.p_irr)
-        report = check_hypotheses(f, plan, scan_bound=10**3)
+        report = check_hypotheses(f, plan)
         assert report.flag("S_2g+2").status == "fail"
         assert resultant_calls == [(23, 22), (22, 21), (23, 21)]
 
