@@ -325,7 +325,14 @@ def fp_monic(a: list[int], p: int) -> list[int]:
 
 
 class _Slots:
-    """The packed (Kronecker-substituted) form of F_p[x]: Euclid, powers and the split.
+    """The packed (Kronecker-substituted) form of (Z/p)[x]: Euclid, powers and the split.
+
+    p need not be prime. A step is sound over Z/p for any modulus p >= 2
+    when the leads it divides by are units mod p: the Barrett step uses no
+    primality, divide takes the inverse of the lead as an argument, and
+    pseudo_remainder takes none. The F_p[x] helpers pass primes; the
+    multimodular resultant passes odd moduli and checks that its leads are
+    units.
 
     Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
     Algebra, section 8.4) packs a polynomial of degree at most n into one
@@ -352,9 +359,10 @@ class _Slots:
     remainder mod a monic modulus of degree n adds fewer than n terms below
     3 p^2 to them, and a division of a residue of degree at most n by one,
     both with slots below 4p (as h - x has), takes at most n + 1 steps of
-    below 4 p^2, and so does gcd between two swaps. A Barrett step after
-    each product, remainder and swap keeps the width O(log p + log n) over
-    any number of steps.
+    below 4 p^2, and so does gcd between two swaps. A pseudo-remainder step,
+    lead(b) a + (p - t) x^i b, forms slots below p 3p + p 3p = 6 p^2. A
+    Barrett step after each product, remainder, swap and pseudo-remainder
+    step keeps the width O(log p + log n) over any number of steps.
     """
 
     def __init__(self, p: int, n: int) -> None:
@@ -403,6 +411,38 @@ class _Slots:
             elif not a & ((1 << low + i * w) - 1):  # every lower slot is 0, so is the rest
                 break
         return a & ((1 << low) - 1)
+
+    def coefficient(self, packed: int, i: int) -> int:
+        """The coefficient mod p in slot i."""
+        return (packed >> i * self.width & self.slot) % self.p
+
+    def degree(self, packed: int, d: int) -> int:
+        """The top slot i <= d of packed that is nonzero mod p, or -1 when there is none."""
+        while d >= 0 and not self.coefficient(packed, d):
+            d -= 1
+        return d
+
+    def pseudo_remainder(self, a: int, da: int, b: int, db: int, lead: int) -> tuple[int, int]:
+        """(r, e): packed r = lead^e a mod b in the slots below db, each below 3p.
+
+        a has degree da and b degree db >= 1, slots below 3p, and lead is
+        lc(b) mod p. No inverse is taken: a step at the top slot i + db of a,
+        which holds t mod p, replaces a by lead a + (p - t) x^i b, in which
+        that slot is 0 mod p. The slot is dropped from a, and b's top slot is
+        left out of the product, so only slots below it are formed, each
+        below 3p p + p 3p, and one Barrett step brings them below 3p. e counts
+        the steps with t nonzero; a slot with t = 0 is only dropped.
+        """
+        w, p = self.width, self.p
+        rest = b & ((1 << db * w) - 1)
+        e = 0
+        for top in range(da, db - 1, -1):
+            v = a >> top * w  # the top slot: nothing above it is kept
+            a -= v << top * w
+            if t := v % p:
+                a = self.reduce(lead * a + ((p - t) * rest << (top - db) * w))
+                e += 1
+        return a, e
 
     def quotient(self, a: int, da: int, b: int, db: int) -> list[int]:
         """The quotient coefficients of packed a of degree da by monic packed b of degree db."""
@@ -781,6 +821,12 @@ def hensel_lift_factorization(
 # ---------------------------------------------------------------------------
 # resultants
 
+# Bits of the Hadamard bound from which resultant takes the multimodular path.
+RESULTANT_CUTOFF_BITS = 8000
+
+# The moduli of the multimodular resultant, extended on demand by _moduli.
+_MODULI: list[int] = []
+
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder: lc(b)^(delta + 1) * a mod b over Z, delta = deg a - deg b.
 
@@ -815,16 +861,131 @@ def _exact_div(a: list[int], d: int) -> list[int]:
 
 
 def resultant(a: list[int], b: list[int]) -> int:
-    """Resultant of two nonzero integer polynomials.
+    """Resultant of two nonzero integer polynomials, exact over Z.
 
-    Signed subresultant PRS (Brown-Traub recurrence), exact over Z.
     Convention: Res(a, b) = lc(a)^deg(b) * prod b(alpha_i) over the roots of
     a, so Res(a, b) = (-1)^(deg a * deg b) Res(b, a) and Res(a, c) = c^deg(a)
-    for constant c.
+    for constant c. Two paths give the same value. Below
+    RESULTANT_CUTOFF_BITS bits of the Hadamard bound |Res(a, b)| <=
+    ||a||_2^deg b ||b||_2^deg a (_hadamard_bits), the signed subresultant PRS
+    (_resultant_prs) runs over Z; at or above it, the multimodular path
+    (_resultant_multimodular) runs Euclid over Z/q on packed integers for
+    enough moduli q and combines the residues by CRT.
     """
     a, b = poly_trim(list(a)), poly_trim(list(b))
     if not a or not b:
         raise ValueError("resultant of zero polynomial")
+    if _hadamard_bits(a, b) < RESULTANT_CUTOFF_BITS:
+        return _resultant_prs(a, b)
+    return _resultant_multimodular(a, b)
+
+
+def _hadamard_bits(a: list[int], b: list[int]) -> int:
+    """Bits of the Hadamard bound of the Sylvester matrix: |Res(a, b)| < 2^bits.
+
+    The rows of a have norm ||a||_2 < 2^(na / 2), na the bits of the sum of
+    squares, and there are deg b of them; likewise deg a rows of b.
+    """
+    na = sum(c * c for c in a).bit_length()
+    nb = sum(c * c for c in b).bit_length()
+    return (poly_deg(b) * na + poly_deg(a) * nb + 1) // 2
+
+
+def _moduli() -> Iterator[int]:
+    """The moduli of the multimodular resultant, in order, memoized in _MODULI.
+
+    Each is the next odd number above 2^128 that has no prime factor below
+    1000 and is coprime to every modulus before it, found by two gcds. None
+    is tested for primality: the multimodular path needs moduli that are
+    pairwise coprime and leads that are units, and it checks the latter.
+    """
+    i, product, small = 0, 1, 0
+    while True:
+        if i == len(_MODULI):
+            small = small or math.prod(primes_up_to(1000)[1:])
+            q = _MODULI[-1] + 2 if _MODULI else (1 << 128) + 1
+            while math.gcd(q, small) != 1 or math.gcd(q, product) != 1:
+                q += 2
+            _MODULI.append(q)
+        product *= _MODULI[i]
+        yield _MODULI[i]
+        i += 1
+
+
+def _resultant_mod(a: list[int], b: list[int], q: int) -> tuple[int, int] | None:
+    """(num, den) with Res(a, b) den ≡ num mod q, for deg a >= deg b.
+
+    None when lc(a) lc(b) is not a unit mod q. Euclid over Z/q on packed
+    integers: a round replaces (a, b) by (b, r) for the pseudo-remainder
+    r = lc(b)^e a mod b (_Slots.pseudo_remainder), which takes no inverse.
+    Over any commutative ring,
+    lc(b)^(e db) Res(a, b) = (-1)^(da db) lc(b)^(da - dr) Res(b, r),
+    with dr the top slot of r that is nonzero mod q. So each round puts the
+    power of lc(b) on the right into num and the one on the left into den,
+    never netting the two: den is then a unit mod q only if every lc(b) was,
+    and only then is Res(a, b) = num / den, which the caller's inverse of
+    den checks. A constant c ends the run with Res(a, c) = c^deg a, and a
+    zero remainder of b of positive degree ends it with num = 0.
+    """
+    if math.gcd(a[-1] * b[-1], q) != 1:
+        return None
+    da, db = len(a) - 1, len(b) - 1
+    slots = _Slots(q, da)
+    pa, pb = slots.pack([c % q for c in a]), slots.pack([c % q for c in b])
+    num = den = 1
+    while db > 0:
+        lead = slots.coefficient(pb, db)
+        r, e = slots.pseudo_remainder(pa, da, pb, db, lead)
+        dr = slots.degree(r, db - 1)
+        num = num * pow(lead, da - dr, q) % q
+        den = den * pow(lead, e * db, q) % q
+        if da & db & 1:
+            num = -num
+        pa, da, pb, db = pb, db, r, dr
+    if db < 0:
+        return 0, den
+    return num * pow(slots.coefficient(pb, 0), da, q) % q, den
+
+
+def _resultant_multimodular(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of nonzero integer polynomials, from its residues mod the moduli (Collins 1971).
+
+    Cohen, A Course in Computational Algebraic Number Theory, section 3.3.
+    The Sylvester determinant commutes with reduction mod q, and when both
+    leads are units mod q the reductions keep their degrees, so Res(a, b)
+    mod q = num / den for the pair (num, den) of _resultant_mod. A q at
+    which a lead or den is not a unit is skipped.
+    The residues are combined by CRT, with one inverse per modulus, until
+    the product M of the moduli used exceeds twice the Hadamard bound;
+    Res(a, b) is then the residue of absolute value below M / 2.
+    """
+    bits = _hadamard_bits(a, b)
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    x, m = 0, 1
+    for q in _moduli():
+        if m >> bits + 1:
+            break
+        residue = _resultant_mod(a, b, q)
+        if residue is None:
+            continue
+        num, den = residue
+        try:
+            inv = pow(den * m % q, -1, q)
+        except ValueError:  # den is not a unit mod q
+            continue
+        x += m * ((num - x % q * den) * inv % q)
+        m *= q
+    return sign * (x - m if 2 * x > m else x)
+
+
+def _resultant_prs(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of nonzero integer polynomials by the signed subresultant PRS.
+
+    Brown-Traub recurrence, with exact divisions over Z.
+    """
     sign = 1
     if poly_deg(a) < poly_deg(b):
         if poly_deg(a) % 2 == 1 and poly_deg(b) % 2 == 1:

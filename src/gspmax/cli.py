@@ -518,7 +518,12 @@ def cmd_inertia(args: argparse.Namespace) -> int:
                 "cluster picture, etale H^1 and tame eigenvalues not derived: "
                 f"block size {p} equals p, so inertia is wild"
             )
-        elif all(q != 2 for q in qs):
+        elif 2 in qs:
+            print(
+                "cluster picture, etale H^1 and tame eigenvalues not derived: "
+                "block size 2 is a twin, outside the odd prime block sizes of the type formulas"
+            )
+        else:
             try:
                 picture = clusters_from_type(t, list(qs), deg)
             except ValueError as err:

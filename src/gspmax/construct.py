@@ -249,7 +249,13 @@ class TripleRootScreen:
         return self.residual_cofactor == 1
 
 
-def screen_triple_roots(f: list[int]) -> TripleRootScreen:
+def _derivatives(f: list[int]) -> tuple[list[int], list[int]]:
+    """(f', f'')."""
+    d1 = poly_derivative(f)
+    return d1, poly_derivative(d1)
+
+
+def screen_triple_roots(f: list[int], res_derivatives: int | None = None) -> TripleRootScreen:
     """Locate every prime at which the monic f could have a root of multiplicity >= 3.
 
     Such a root of f mod p is a common root of f, f' and f'' mod p. The
@@ -269,11 +275,11 @@ def screen_triple_roots(f: list[int]) -> TripleRootScreen:
 
     When Res(f', f'') = 0, f' and f'' share a root over the rationals, every
     prime divides it, and the unavailable screen (no primes, residual
-    cofactor 0) is returned.
+    cofactor 0) is returned. A caller that already holds Res(f', f'') passes
+    it as res_derivatives, and only Res(f, f'') is computed.
     """
-    d1 = poly_derivative(f)
-    d2 = poly_derivative(d1)
-    res = resultant(d1, d2)
+    d1, d2 = _derivatives(f)
+    res = resultant(d1, d2) if res_derivatives is None else res_derivatives
     if res == 0:
         return TripleRootScreen(found_primes=(), residual_cofactor=0, scan_bound=SCAN_BOUND)
     cofactor = math.gcd(res, resultant(f, d2))
@@ -406,18 +412,20 @@ def fix_multiplicities(
     f, n_tilde = repaired_poly(f0, n, g, pre_fixes, 0, 0)
     skip = set(exceptions) | {2}
     nudges = 0
-    while not (screen := screen_triple_roots(f)).residual_cofactor:
+    while not (res_derivatives := resultant(*_derivatives(f))):
         nudges += 1
         f, _ = repaired_poly(f0, n, g, pre_fixes, nudges, 0)
+    screen = screen_triple_roots(f, res_derivatives)
     for p in screen.found_primes:
         if n % p == 0 and p not in skip and max(multiplicity_profile(f, p)) >= 3:
             raise ConstructionError(f"unrepairable multiplicity-3 root at {p} dividing n")
 
     # Shifting the constant term by z * n_tilde leaves f' and f'' alone, so
-    # every prime that turns bad divides the fixed nonzero Res(f', f''). Each
-    # round pins one more of those primes clean (z = c / n_tilde mod p keeps
-    # f + c there), so the loop ends. Every prime <= 2g - 1 divides n_tilde,
-    # so a bad prime exceeds 2g, or is 2 when g = 1.
+    # every prime that turns bad divides the fixed nonzero Res(f', f''), which
+    # each round's screen reuses. Each round pins one more of those primes
+    # clean (z = c / n_tilde mod p keeps f + c there), so the loop ends. Every
+    # prime <= 2g - 1 divides n_tilde, so a bad prime exceeds 2g, or is 2
+    # when g = 1.
     constrained: dict[int, int] = {}
     z = 0
     shifted = f
@@ -434,7 +442,7 @@ def fix_multiplicities(
             [((c * pow(n_tilde, -1, p)) % p, p) for p, c in constrained.items()]
         )
         shifted, _ = repaired_poly(f0, n, g, pre_fixes, nudges, z)
-        screen = screen_triple_roots(shifted)
+        screen = screen_triple_roots(shifted, res_derivatives)
     return RepairRecord(
         f=tuple(shifted),
         n_tilde=n_tilde,

@@ -13,7 +13,12 @@ the irreducible and linear-times-irreducible witnesses, degree n mod p for
 (n, p) = (30, 31), (62, 37) and (82, 43), and degree 30 mod 2^127 - 1 and
 2^521 - 1, where a packed slot is about 270 and 1,060 bits wide. The
 resultant's fixed cases include degree gaps of 2 and 3 inside the
-subresultant sequence and a zero resultant.
+subresultant sequence and a zero resultant. Both of its paths are checked:
+the subresultant PRS and the multimodular Euclid over Z/q, the latter
+directly on small inputs (with a lead the first modulus divides, and with
+a remainder lead that is a zero divisor mod it, so that modulus is
+discarded) and through resultant on the seed-0 genus-14 screen pairs,
+whose Hadamard bounds pass the cutoff.
 """
 
 import random
@@ -23,7 +28,13 @@ from hypothesis import given, settings, strategies as st
 
 from golden_data import F0
 from gspmax.arith import (
+    RESULTANT_CUTOFF_BITS,
     _fp_ddf,
+    _hadamard_bits,
+    _moduli,
+    _resultant_mod,
+    _resultant_multimodular,
+    _resultant_prs,
     fp_divmod,
     fp_factor,
     fp_gcd,
@@ -39,6 +50,7 @@ from gspmax.arith import (
     poly_trim,
     resultant,
 )
+from gspmax.construct import build_certificate
 
 sympy = pytest.importorskip("sympy")
 galoistools = pytest.importorskip("sympy.polys.galoistools")
@@ -309,12 +321,61 @@ def test_poly_compose_shift_matches_sympy(a, s, m):
 # resultants
 
 int_poly = st.lists(st.integers(-20, 20), min_size=1, max_size=7).filter(lambda c: c[-1] != 0)
+# both paths of resultant, each called directly
+RESULTANT_PATHS = (_resultant_prs, _resultant_multimodular)
 
 
 @settings(max_examples=300, deadline=None)
 @given(int_poly, int_poly)
 def test_resultant_matches_sympy(a, b):
     assert resultant(a, b) == _oracle_resultant(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_poly, int_poly)
+def test_multimodular_resultant_matches_sympy(a, b):
+    assert _resultant_multimodular(a, b) == _oracle_resultant(a, b)
+
+
+@pytest.mark.parametrize("path", RESULTANT_PATHS, ids=lambda path: path.__name__)
+def test_both_resultant_paths_match_sympy_on_fixed_cases(path):
+    cases = [
+        ([-3, 0, 2, -5], [7, 1, -4]),  # negative and non-monic leads
+        ([1, 2, 3], [-6]),  # a constant operand, on either side
+        ([-6], [1, 2, 3, 4]),
+        ([5], [-7]),
+        ([2**200 + 1, -(3**90), 7], [1, 0, 0, -(2**150)]),
+    ]
+    for a, b in cases:
+        assert path(a, b) == _oracle_resultant(a, b)
+
+
+def test_resultant_matches_sympy_above_the_cutoff_on_the_genus_14_screen_pairs():
+    f = list(build_certificate(14, 0).f)
+    d1 = poly_derivative(f)
+    d2 = poly_derivative(d1)
+    for a, b in ((d1, d2), (f, d2)):
+        assert _hadamard_bits(a, b) >= RESULTANT_CUTOFF_BITS
+        assert resultant(a, b) == _oracle_resultant(a, b)
+
+
+def test_a_lead_the_first_modulus_divides_discards_that_modulus():
+    q = next(_moduli())
+    for a, b in (([3, -1, 5, q], [2, 7, 1]), ([1, -2, 0, -5 * q], [4, 1])):
+        assert _resultant_mod(a, b, q) is None
+        assert _resultant_multimodular(a, b) == _oracle_resultant(a, b)
+        assert _resultant_multimodular(b, a) == _oracle_resultant(b, a)
+
+
+def test_a_zero_divisor_lead_inside_the_euclid_discards_that_modulus():
+    # the first modulus is 2^128 + 1, whose factor p divides the lead u^2 - v
+    # of the remainder of x^3 by x^2 + u x + v: den is then no unit mod q
+    q, p, u = next(_moduli()), 59649589127497217, 12345
+    assert q == 2**128 + 1 and q % p == 0
+    a, b = [0, 0, 0, 1], [u * u - p, u, 1]
+    _, den = _resultant_mod(a, b, q)
+    assert den % p == 0
+    assert _resultant_multimodular(a, b) == _oracle_resultant(a, b)
 
 
 def test_resultant_matches_sympy_on_the_screen_pairs_of_f0():
@@ -333,16 +394,18 @@ def test_resultant_matches_sympy_with_degree_gaps_inside_the_prs():
     r1 = poly_add(poly_mul([1, -2, 0, 3], r2), r3)
     b = poly_add(poly_mul([-3, 1, 2], r1), r2)
     a = poly_add(poly_mul([1, 0, -1, 2, 0, 1], b), [6, 0, -5, 1])
-    for x, y in ((b, r1), (r1, b), (a, b), (a, r1), (r1, r2)):
-        assert resultant(x, y) == _oracle_resultant(x, y)
+    for path in (resultant, *RESULTANT_PATHS):
+        for x, y in ((b, r1), (r1, b), (a, b), (a, r1), (r1, r2)):
+            assert path(x, y) == _oracle_resultant(x, y)
 
 
-def test_resultant_is_zero_on_a_common_factor():
+@pytest.mark.parametrize("path", (resultant, *RESULTANT_PATHS), ids=lambda path: path.__name__)
+def test_resultant_is_zero_on_a_common_factor(path):
     common = [1, 0, 1]
     a = poly_mul(common, [5, -2, 0, 1])
     b = poly_mul(common, [4, -1, 3])
-    assert resultant(a, b) == 0 == _oracle_resultant(a, b)
-    assert resultant(poly_mul(a, a), b) == 0 == _oracle_resultant(poly_mul(a, a), b)
+    assert path(a, b) == 0 == _oracle_resultant(a, b)
+    assert path(poly_mul(a, a), b) == 0 == _oracle_resultant(poly_mul(a, a), b)
 
 
 @pytest.mark.parametrize("n", [30, 62])

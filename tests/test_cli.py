@@ -564,6 +564,21 @@ class TestInertiaCommand:
         for line in ("cluster picture:", "etale H^1:", "tame eigenvalues:", "tame inertia"):
             assert line not in out
 
+    def test_block_size_two_says_why_no_tame_data_is_derived(self, fixture_files, capsys):
+        # p_t = 7 of the fixture has type 1-{2}: a twin, which the type
+        # formulas for odd prime block sizes do not cover
+        _, poly_path = fixture_files
+        assert main(["inertia", "--poly", str(poly_path), "--prime", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "type 1-{2} recognized at 7\nblock shifts: 0\n" in out
+        assert (
+            "cluster picture, etale H^1 and tame eigenvalues not derived: "
+            "block size 2 is a twin, outside the odd prime block sizes of the type formulas\n"
+        ) in out
+        for line in ("cluster picture:", "etale H^1:", "tame eigenvalues:", "tame inertia"):
+            assert line not in out
+        assert out.endswith("reduction: semistable at 7, toric dimension 1\n")
+
     def test_good_reduction_prime(self, fixture_files, capsys):
         _, poly_path = fixture_files
         assert main(["inertia", "--poly", str(poly_path), "--prime", "101"]) == 0

@@ -338,7 +338,7 @@ class TestFixMultiplicities:
         assert rec.screen.residual_cofactor == 1
         assert rec.status == "clean"
 
-    def test_planted_triple_root_is_repaired(self):
+    def test_planted_triple_root_is_repaired(self, resultant_calls):
         p = 101
         planted = [1]
         for r in (1, 1, 1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
@@ -350,6 +350,10 @@ class TestFixMultiplicities:
         rec = fix_multiplicities(f_test, N, 6, exceptions=(17, 19, 37, 41))
         assert rec.repaired_primes == (p,)
         assert rec.z > 0
+        # the z-round shifts only the constant term, so Res(f', f'') (the
+        # pair of lengths 14 and 13) is computed once and each screen after
+        # the first takes Res(f, f'') alone
+        assert resultant_calls == [(14, 13), (15, 13), (15, 13)]
         assert max(multiplicity_profile(list(rec.f), p)) <= 2
         assert all((a - b) % N == 0 for a, b in zip(rec.f, f_test))
         # the record keeps the screen of the shifted f, not of f_test

@@ -7,12 +7,20 @@ in src/, tests/ or bench/, so that a removal leaves no orphaned import,
 helper or API behind. Inside src/ alone, every public name must be read too,
 except the few listed in TEST_REFERENCES, so that code only the tests reach
 stays visible. No module in src/gspmax reads the process environment.
+Importing the command line builds no moduli for the multimodular
+resultant, and building them makes no primality test.
 """
 
 import ast
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from gspmax import arith
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gspmax"
@@ -185,3 +193,29 @@ def test_only_the_test_references_are_unread_by_the_program():
         for name in unread_public_names(path.read_text(encoding="utf-8"), read)
     }
     assert unread == TEST_REFERENCES
+
+
+def test_importing_the_command_line_builds_no_moduli():
+    done = subprocess.run(
+        [sys.executable, "-c", "import gspmax.cli, gspmax.arith; print(gspmax.arith._MODULI)"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_a_multimodular_resultant_makes_no_primality_test(monkeypatch):
+    rng = random.Random(0)
+    a, b = ([rng.getrandbits(400) for _ in range(11)] for _ in range(2))
+    assert arith._hadamard_bits(a, b) >= arith.RESULTANT_CUTOFF_BITS
+    expected = arith._resultant_prs(a, b)
+
+    def no_primality_test(n):
+        raise AssertionError(f"primality test of {n}")
+
+    monkeypatch.setattr(arith, "is_prime", no_primality_test)
+    monkeypatch.setattr(arith, "_MODULI", [])  # so that the moduli are built here
+    assert arith.resultant(a, b) == expected
+    assert len(arith._MODULI) > arith.RESULTANT_CUTOFF_BITS // 128

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from golden_data import F0, PLAN_G6, TUPLE_G6
-from gspmax import arith, construct
-from gspmax.arith import poly_mul
+from golden_data import F0, N, PLAN_G6, TUPLE_G6
+from gspmax import arith, cli, construct
+from gspmax.arith import crt_integers, poly_mul
 from gspmax.construct import FIXTURE_SEED, PrimePlan, assemble, build_certificate, plan_primes
 from gspmax.goldbach import GoldbachTuple, two_g_eps_tuples
 from gspmax.localtypes import LocalSpec, multiplicity_profile, witness_poly
@@ -161,6 +161,21 @@ class TestPerturbedInputs:
         assert "2G+eps" not in fails
         assert "2-adic good-reduction family: no" in report.flag("ss").detail
         assert report.verdict.kind == "none"
+
+    def test_a_transposition_at_p_t_alone_is_mod_2_evidence(self, capsys):
+        # f is F0 mod N / 11^2 and x^14 + x + 1 mod 11^2, which has no double
+        # root mod 11: type 1-{2} holds at p_t = 7 but not at p_t' = 11, so 2T
+        # fails while the inertia at 7 still gives the mod-2 image a
+        # transposition
+        other = [1, 1] + [0] * 12 + [1]
+        f = [crt_integers([(a, N // 11**2), (b, 11**2)]) for a, b in zip(F0, other)]
+        report = check_hypotheses(f, _fixture_plan())
+        assert report.flag("2T").status == "fail"
+        assert report.flag("2T").detail == "type 1-{2} at 7: yes; at 11: no"
+        assert report.mod_2.transposition
+        cli._print_report(report)
+        evidence = "mod-2 ingredients: full cycle yes, near cycle yes, transposition yes\n"
+        assert evidence in capsys.readouterr().out
 
     def test_flat_polynomial_fails_many_flags(self):
         f = [-1] + [0] * 13 + [1]
