@@ -467,7 +467,7 @@ class _Slots:
         if db < 0:  # gcd(a, 0) is a made monic
             if da < 0:
                 return 0, -1
-            return self.reduce(a * pow((a >> da * w & slot) % p, -1, p)), da
+            return self.reduce(a * pow(self.coefficient(a, da), -1, p)), da
         va = vb = 0  # the powers of x that divide a and b
         while not (a >> va * w & slot) % p:
             va += 1
@@ -485,9 +485,8 @@ class _Slots:
             if a and da < db:
                 a, da, b, db = b, db, self.reduce(a), da
                 inv = pow((b & slot) % p, -1, p)
-        while not (b >> db * w & slot) % p:
-            db -= 1
-        g, v = self.reduce(b * pow((b >> db * w & slot) % p, -1, p)), min(va, vb)
+        db = self.degree(b, db)
+        g, v = self.reduce(b * pow(self.coefficient(b, db), -1, p)), min(va, vb)
         return g << v * w, db + v
 
     def mul_mod(self, a: int, b: int, mod: int, n: int) -> int:
@@ -668,7 +667,7 @@ def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
     """
     n = poly_deg(f)
     slots = _slots(p, n)
-    w, slot = slots.width, slots.slot
+    w = slots.width
     f = slots.pack(f)
     h = 1 << w  # x
     d = 0
@@ -678,10 +677,8 @@ def _fp_ddf(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
             yield slots.unpack(f, n + 1), n
             return
         h = slots.pow_mod(h, p, f, n)
-        h_x, dh = h + ((p - 1) << w), n - 1
-        while dh >= 0 and not (h_x >> dh * w & slot) % p:
-            dh -= 1
-        g, dg = slots.gcd(h_x, dh, f, n)
+        h_x = h + ((p - 1) << w)
+        g, dg = slots.gcd(h_x, slots.degree(h_x, n - 1), f, n)
         if dg > 0:
             yield slots.unpack(g, dg + 1), d
             f, n = slots.pack(slots.quotient(f, n, g, dg)), n - dg
